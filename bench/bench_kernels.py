@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Compare the pure-Python and compiled kernel backends.
 
-Times the four kernel entry points that dominate the library's work: blade
-products, term-map products, the +-1 pair-row rank used by relation checks,
-and integer Smith normal form.  Each workload is deterministic (fixed seed)
+Times the three kernel entry points that dominate the library's work: blade
+products, term-map products, and integer Smith normal form.  Each workload is deterministic (fixed seed)
 and identical across backends; results are wall-clock best-of-repeats via
 timeit, so numbers are comparable within a run but not across machines.
 
@@ -32,12 +31,6 @@ def _workloads(seed: int = 20260822):
 
     term_pairs = [(dense_map(6), dense_map(6), 3) for _ in range(8)]
 
-    pair_rows = []
-    for _ in range(400):
-        n = 64
-        a, b = rng.sample(range(n), 2)
-        pair_rows.append({a: rng.choice((1, -1)), b: rng.choice((1, -1))})
-
     snf_mats = []
     for _ in range(40):
         m, n = rng.randrange(1, 9), rng.randrange(1, 9)
@@ -45,12 +38,12 @@ def _workloads(seed: int = 20260822):
             [[rng.randrange(-20, 21) for _ in range(n)] for _ in range(m)]
         )
 
-    return blade_args, term_pairs, pair_rows, snf_mats
+    return blade_args, term_pairs, snf_mats
 
 
 def bench_backend(name: str, repeats: int) -> dict[str, float]:
     k = get_kernel(name)
-    blade_args, term_pairs, pair_rows, snf_mats = _workloads()
+    blade_args, term_pairs, snf_mats = _workloads()
 
     def run_blades():
         for a, b, p in blade_args:
@@ -60,9 +53,6 @@ def bench_backend(name: str, repeats: int) -> dict[str, float]:
         for ta, tb, p in term_pairs:
             k.mul_term_maps(ta, tb, p)
 
-    def run_rank():
-        k.unit_pair_rank(pair_rows, 64)
-
     def run_snf():
         for mat in snf_mats:
             k.snf(mat, len(mat), len(mat[0]))
@@ -71,7 +61,6 @@ def bench_backend(name: str, repeats: int) -> dict[str, float]:
     for label, fn in (
         ("blade_mul_mask x2000", run_blades),
         ("mul_term_maps 64-term x8", run_terms),
-        ("unit_pair_rank 400x64", run_rank),
         ("snf 8x8 x40", run_snf),
     ):
         out[label] = min(timeit.repeat(fn, number=1, repeat=repeats))

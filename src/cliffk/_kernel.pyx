@@ -1,15 +1,13 @@
 """Compiled compute kernels.
 
-Same functions, same semantics as cliffk._kernel_py; the blade product and
-the signed union-find run on C integers, the elimination and Smith normal
-form keep Python big integers for their entries (fraction-free growth can
-exceed 64 bits) and compile only the loop structure.
+Same functions, same semantics as cliffk._kernel_py; the blade product runs
+on C integers, the elimination and Smith normal form keep Python big
+integers for their entries (fraction-free growth can exceed 64 bits) and
+compile only the loop structure.
 """
 
 from fractions import Fraction
 from math import gcd
-
-from libc.stdlib cimport free, malloc
 
 IMPLEMENTATION = "compiled"
 
@@ -71,82 +69,6 @@ def mul_term_maps(ta, tb, p):
                 else:
                     del out[m]
     return out
-
-
-cdef int _find(int x, int *parent, int *sgn, int *stack, int *rel):
-    cdef int top = 0, s = 1, i, y, root = x
-    while parent[root] != root:
-        stack[top] = root
-        top += 1
-        root = parent[root]
-    for i in range(top - 1, -1, -1):
-        y = stack[i]
-        s = s * sgn[y]
-        parent[y] = root
-        sgn[y] = s
-    rel[0] = s
-    return root
-
-
-def unit_pair_rank(rows, ncols):
-    """Rank of a system whose rows have at most two entries, all +-1.
-
-    Rows are {column: value} maps; see the pure kernel for the contract.
-    """
-    cdef int n = ncols
-    cdef int *parent = <int *> malloc(n * sizeof(int))
-    cdef int *sgn = <int *> malloc(n * sizeof(int))
-    cdef int *size = <int *> malloc(n * sizeof(int))
-    cdef int *stack = <int *> malloc(n * sizeof(int))
-    cdef char *alive = <char *> malloc(n * sizeof(char))
-    if (n and (parent == NULL or sgn == NULL or size == NULL
-               or stack == NULL or alive == NULL)):
-        free(parent); free(sgn); free(size); free(stack); free(alive)
-        raise MemoryError()
-    cdef int i, c1, c2, v1, v2, r1, r2, s1, s2, rel, nullity
-    try:
-        for i in range(n):
-            parent[i] = i
-            sgn[i] = 1
-            size[i] = 1
-            alive[i] = 1
-        for row in rows:
-            items = [(k, v) for k, v in row.items() if v]
-            if not items:
-                continue
-            if len(items) == 1:
-                # a single-term row with any nonzero coefficient forces zero
-                c1 = items[0][0]
-                r1 = _find(c1, parent, sgn, stack, &s1)
-                alive[r1] = 0
-                continue
-            if len(items) > 2 or any(v != 1 and v != -1 for _k, v in items):
-                raise ValueError("row is not a two-term unit row")
-            c1 = items[0][0]
-            v1 = items[0][1]
-            c2 = items[1][0]
-            v2 = items[1][1]
-            r1 = _find(c1, parent, sgn, stack, &s1)
-            r2 = _find(c2, parent, sgn, stack, &s2)
-            if r1 == r2:
-                if v1 * s1 + v2 * s2:
-                    alive[r1] = 0
-                continue
-            rel = -v1 * s1 * v2 * s2
-            if size[r1] > size[r2]:
-                r1, r2 = r2, r1
-            parent[r1] = r2
-            sgn[r1] = rel
-            size[r2] += size[r1]
-            if not alive[r1]:
-                alive[r2] = 0
-        nullity = 0
-        for i in range(n):
-            if parent[i] == i and alive[i]:
-                nullity += 1
-        return ncols - nullity
-    finally:
-        free(parent); free(sgn); free(size); free(stack); free(alive)
 
 
 cdef void _content_reduce(dict r):

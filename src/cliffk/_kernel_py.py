@@ -1,10 +1,10 @@
 """Pure-Python compute kernels.
 
 These are the hot inner loops of the package: basis-blade products, exact
-sparse integer elimination, a signed union-find for two-term unit equation
-systems, and Smith normal form with transform accumulation.  The compiled
-module cliffk._kernel implements the same functions with the same semantics;
-cliffk.backend picks whichever is available.
+sparse integer elimination, and Smith normal form with transform
+accumulation.  The compiled module cliffk._kernel implements the same
+functions with the same semantics; cliffk.backend picks whichever is
+available.
 
 All arithmetic is exact.  Matrix entries and row values are Python ints
 (arbitrary precision); blade coefficients are whatever exact ring elements the
@@ -63,67 +63,6 @@ def mul_term_maps(ta: dict, tb: dict, p: int) -> dict:
                 else:
                     del out[m]
     return out
-
-
-def unit_pair_rank(rows, ncols: int) -> int:
-    """Rank of a system whose rows have at most two entries, all +-1.
-
-    Rows are {column: value} maps.  Such systems are solved exactly by a
-    union-find over the columns carrying a relative sign: a two-term row
-    identifies two columns up to sign, a contradictory identification or a
-    one-term row forces a whole class to zero.  Raises ValueError on a row
-    that does not fit the shape (caller bug, never silently wrong).
-    """
-    parent = list(range(ncols))
-    sign = [1] * ncols
-    alive = bytearray(b"\x01") * ncols
-    size = [1] * ncols
-
-    def find(x: int) -> tuple[int, int]:
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        s = 1
-        for y in reversed(path):
-            s *= sign[y]
-            parent[y] = x
-            sign[y] = s
-        return x, s
-
-    for row in rows:
-        items = [(k, v) for k, v in row.items() if v]
-        if not items:
-            continue
-        if len(items) == 1:
-            # a single-term row with any nonzero coefficient forces zero
-            c, _v = items[0]
-            r, _s = find(c)
-            alive[r] = 0
-            continue
-        if len(items) > 2 or any(v not in (1, -1) for _, v in items):
-            raise ValueError("row is not a two-term unit row")
-        (c1, v1), (c2, v2) = items
-        r1, s1 = find(c1)
-        r2, s2 = find(c2)
-        if r1 == r2:
-            if v1 * s1 + v2 * s2:
-                alive[r1] = 0
-            continue
-        rel = -v1 * s1 * v2 * s2
-        if size[r1] > size[r2]:
-            r1, r2 = r2, r1
-        parent[r1] = r2
-        sign[r1] = rel
-        size[r2] += size[r1]
-        if not alive[r1]:
-            alive[r2] = 0
-
-    nullity = 0
-    for x in range(ncols):
-        if parent[x] == x and alive[x]:
-            nullity += 1
-    return ncols - nullity
 
 
 def _content_reduce(r: dict) -> None:

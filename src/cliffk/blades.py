@@ -250,7 +250,9 @@ def center_basis(sig: Signature, field: ScalarField = ScalarField.REAL,
         for b in range(dim):
             s1, m = kernel.blade_mul_mask(b, g, sig.p)
             s2, m2 = kernel.blade_mul_mask(g, b, sig.p)
-            assert m == m2
+            if m != m2:
+                raise AssertionError(
+                    f"blade products {b} * {g} and {g} * {b} differ in mask")
             c = s1 - s2
             if c:
                 rows.setdefault((i, m), {})[b] = c

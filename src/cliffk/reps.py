@@ -1,9 +1,10 @@
 """Explicit faithful matrix representations of Clifford algebras.
 
 Every representation built here uses monomial matrices whose entries are
-fourth roots of unity, so products and intertwiner equations stay exact and
-sparse.  The construction is a fixed recursion producing a minimal faithful
-module in every signature:
+fourth roots of unity, so products and traces stay exact and sparse.
+Restriction multiplicities and endomorphism dimensions are character
+pairings over the central blades, read off those traces.  The construction
+is a fixed recursion producing a minimal faithful module in every signature:
 
 * mixed signature: (p, q) doubles (p-1, q-1), sending an old generator g to
   diag(g, -g) and adjoining [[0, -I], [I, 0]] (negative square) and
@@ -338,99 +339,65 @@ def _assert_minimal_faithful(rep: MatrixRep) -> None:
     if desc.factors == 2:
         # one copy of each simple summand makes the central involution
         # traceless; two copies of the same summand would give trace -+dim
-        c = _central_involution(rep)
-        t1, ti, tm1, tmi = c.trace_quadruple()
-        if t1 - tm1 != 0 or ti - tmi != 0:
+        if _trace(_central_involution(rep)) != (0, 0):
             raise AssertionError(
                 f"representation of {rep.sig} is not one-of-each on the "
                 f"two simple summands")
 
 
-# A linear term in an intertwiner equation: i**code * sign * X[cell].
-# Equations are lists of such terms summing to zero.
-
-def _emit_rows(equations, ncells: int, complexified: bool):
-    """Render term lists to integer rows; realify when complexified."""
-    if not complexified:
-        for eq in equations:
-            row: dict[int, int] = {}
-            for cell, code, s in eq:
-                v = s if code == 0 else -s
-                nv = row.get(cell, 0) + v
-                if nv:
-                    row[cell] = nv
-                elif cell in row:
-                    del row[cell]
-            if row:
-                yield row
-    else:
-        # z = x + iy; i**code * z has real part [x, -y, -x, y][code] and
-        # imaginary part [y, x, -y, -x][code]
-        re_key = ((0, 1), (1, -1), (0, -1), (1, 1))
-        im_key = ((1, 1), (0, 1), (1, -1), (0, -1))
-        for eq in equations:
-            for table in (re_key, im_key):
-                row = {}
-                for cell, code, s in eq:
-                    part, v = table[code]
-                    key = 2 * cell + part
-                    nv = row.get(key, 0) + v * s
-                    if nv:
-                        row[key] = nv
-                    elif key in row:
-                        del row[key]
-                if row:
-                    yield row
+def _trace(m: UnitPermMatrix) -> tuple[int, int]:
+    """Trace as a Gaussian integer (re, im)."""
+    t1, ti, tm1, tmi = m.trace_quadruple()
+    return t1 - tm1, ti - tmi
 
 
-def _hom_nullity(big: MatrixRep, small: MatrixRep, emb_idx: tuple[int, ...],
-                 big_cond, small_cond) -> int:
-    """Real dimension of {X : rho_big(g) X = X rho_small(g), side conditions}.
+def _summand_characters(rep: MatrixRep, gens) -> dict:
+    """Doubled characters of the simple summands at the central blades.
 
-    X is dim(big) x dim(small).  ``big_cond``/``small_cond`` are optional
-    (matrix, eps) pairs imposing rho_big(c) X = eps X and X rho_small(c) =
-    eps X; they cut the solution space down to a single simple summand on
-    each side.  Complex representations are realified, doubling the count.
+    ``gens`` are the images in ``rep`` of the generators of a subalgebra (all
+    of ``rep.gens`` for the algebra itself).  Its central blades are 1 and,
+    for an odd number of generators, their product.  For each summand label
+    (see _factor_labels) the value at a central blade x is the Gaussian
+    integer 2 tr(x (1 + label c)/2) = tr(x) + label tr(x c), with c the
+    central involution of ``rep``'s own algebra (the identity, label 1, when
+    that algebra is simple).  The projectors commute with every generator.
     """
-    db, ds = big.dim, small.dim
-    complexified = big.field is _COMPLEX
+    ident = UnitPermMatrix.identity(rep.dim)
+    blades = [ident]
+    if len(gens) % 2:
+        vol = ident
+        for g in gens:
+            vol = vol @ g
+        blades.append(vol)
+    desc = classify(rep.sig, rep.field)
+    c = _central_involution(rep) if desc.factors == 2 else ident
+    traces = [(_trace(x), _trace(x @ c)) for x in blades]
+    return {label: [(re + (label or 1) * cre, im + (label or 1) * cim)
+                    for (re, im), (cre, cim) in traces]
+            for label in _factor_labels(desc)}
 
-    def equations():
-        for t_small, t_big in enumerate(emb_idx):
-            g = big.gens[t_big]
-            h = small.gens[t_small]
-            ginv = g.inverse_rows()
-            gcodes = g.codes
-            hrows = h.rows
-            hcodes = h.codes
-            for a in range(db):
-                ja = ginv[a]
-                ca = gcodes[ja]
-                base = ja * ds
-                arow = a * ds
-                for b in range(ds):
-                    # (g X)(a,b) - (X h)(a,b) = 0
-                    yield ((base + b, ca, 1), (arow + hrows[b], hcodes[b], -1))
-        if big_cond is not None:
-            c, eps = big_cond
-            cinv = c.inverse_rows()
-            for a in range(db):
-                ja = cinv[a]
-                base = ja * ds
-                arow = a * ds
-                for b in range(ds):
-                    yield ((base + b, c.codes[ja], 1), (arow + b, 0, -eps))
-        if small_cond is not None:
-            c, eps = small_cond
-            for a in range(db):
-                arow = a * ds
-                for b in range(ds):
-                    yield ((arow + c.rows[b], c.codes[b], 1), (arow + b, 0, -eps))
 
-    ncols = db * ds * (2 if complexified else 1)
-    rank = kernel.unit_pair_rank(_emit_rows(equations(), ncols, complexified),
-                                 ncols)
-    return ncols - rank
+def _pairing(chi_s, chi_b, n_small: int) -> int:
+    """dim Hom(S, B) over the scalar field, from doubled central characters.
+
+    Modules of an n-generator Clifford algebra are the representations of
+    the finite group {+-e_A} in which -1 acts as -1, so dim Hom(S, B) is
+    2**-n times the sum over all blades of conj(chi_S) chi_B.  A blade that
+    is not central anticommutes with some generator g, which commutes with
+    the summand projectors, so its character is zero (conjugate by g).  Only
+    the central blades remain, and the doubling adds a factor 4.  Over R the
+    complexified characters give the real dimension.
+    """
+    re = im = 0
+    for (a, b), (c, d) in zip(chi_s, chi_b):
+        re += a * c + b * d
+        im += a * d - b * c
+    hom, rem = divmod(re, 4 << n_small)
+    if im or rem:
+        raise AssertionError(
+            f"character pairing {re}{im:+}i is not a multiple of "
+            f"{4 << n_small}")
+    return hom
 
 
 def _embedding_indices(big: Signature, small: Signature) -> tuple[int, ...]:
@@ -447,28 +414,19 @@ def _restriction(big: Signature, small: Signature,
     rep_s = build_rep(small, field, max_total=max(12, small.n))
     _assert_minimal_faithful(rep_b)
     _assert_minimal_faithful(rep_s)
-    desc_b = classify(big, field)
-    desc_s = classify(small, field)
-    cb = _central_involution(rep_b) if desc_b.factors == 2 else None
-    cs = _central_involution(rep_s) if desc_s.factors == 2 else None
-    if field is _REAL:
-        end_dim = desc_s.ring.dim_real
-    else:
-        end_dim = 1
+    chi_b = _summand_characters(rep_b, [rep_b.gens[t] for t in emb_idx])
+    chi_s = _summand_characters(rep_s, rep_s.gens)
     rows = []
-    for eps_s in _factor_labels(desc_s):
+    for xs in chi_s.values():
+        end_dim = _pairing(xs, xs, small.n)
         row = []
-        for eps_b in _factor_labels(desc_b):
-            nullity = _hom_nullity(
-                rep_b, rep_s, emb_idx,
-                (cb, eps_b) if cb is not None else None,
-                (cs, eps_s) if cs is not None else None,
-            )
-            if field is _COMPLEX:
-                assert nullity % 2 == 0
-                nullity //= 2
-            mult, rem = divmod(nullity, end_dim)
-            assert rem == 0, (big, small, field, eps_s, eps_b, nullity)
+        for xb in chi_b.values():
+            hom = _pairing(xs, xb, small.n)
+            mult, rem = divmod(hom, end_dim)
+            if rem:
+                raise AssertionError(
+                    f"dim Hom {hom} over {small} in {big} ({field}) is not "
+                    f"a multiple of dim End {end_dim}")
             row.append(mult)
         rows.append(tuple(row))
     return tuple(rows)
@@ -482,10 +440,11 @@ def restriction_multiplicities(big: Signature, small: Signature,
     Restricting along the generator-segment embedding of C^{small} into
     C^{big}, entry [s][b] is the multiplicity of the small algebra's simple
     module s inside the restriction of the big algebra's simple module b.
-    Computed as dim Hom(S, B|small) / dim End(S): the Hom dimension is an
-    exact intertwiner solve on the built representations, cut down to single
-    summands by the central involutions; End(S) has dimension 1, 2, 4 for
-    R, C, H (checked against explicit solves in the tests).
+    Computed as dim Hom(S, B|small) / dim End(S), each an exact character
+    pairing over the central blades of the small algebra (1, and the volume
+    element when it has an odd number of generators), with the summands cut
+    out by the central involutions.  The tests check it against explicit
+    intertwiner solves.
 
     >>> from cliffk.blades import Signature
     >>> restriction_multiplicities(Signature(1, 0), Signature(0, 0))
@@ -503,26 +462,19 @@ def restriction_multiplicities(big: Signature, small: Signature,
 
 def irrep_end_dim(sig: Signature, field: ScalarField = _REAL,
                   label=None) -> int:
-    """dim over the scalar field of End of one simple module, by explicit solve.
+    """dim over the scalar field of End of one simple module, as <chi, chi>.
 
     ``label`` picks the summand (+1 or -1) for two-factor algebras.  This is
-    the independent check that the division-ring constants used by
-    restriction_multiplicities are the ones the representations actually
-    realize.
+    the character pairing restriction_multiplicities divides by; the tests
+    check it against the division-ring table of cliffk.structure.
     """
-    rep = build_rep(sig, field)
     desc = classify(sig, field)
-    cond = None
-    if desc.factors == 2:
-        if label not in (1, -1):
-            raise ValueError("two-factor algebra needs a +-1 summand label")
-        cond = (_central_involution(rep), label)
-    emb_idx = tuple(range(sig.n))
-    nullity = _hom_nullity(rep, rep, emb_idx, cond, cond)
-    if field is _COMPLEX:
-        assert nullity % 2 == 0
-        nullity //= 2
-    return nullity
+    if desc.factors == 2 and label not in (1, -1):
+        raise ValueError("two-factor algebra needs a +-1 summand label")
+    rep = build_rep(sig, field)
+    chi = _summand_characters(rep, rep.gens)[
+        label if desc.factors == 2 else None]
+    return _pairing(chi, chi, sig.n)
 
 
 def verify_classification(sig: Signature, field: ScalarField = _REAL,

@@ -96,9 +96,15 @@ def classify(sig: Signature, field: ScalarField = ScalarField.REAL) -> AlgebraDe
     # R; complex dimension over C)
     total = 1 << n
     per_factor, rem = divmod(total, factors * (ring.dim_real if field is ScalarField.REAL else 1))
-    assert rem == 0, (sig, field)
+    if rem:
+        raise AssertionError(
+            f"{sig} over {field}: 2**{n} is not divisible by the factor count "
+            f"and ring dimension of the table entry")
     k = isqrt(per_factor)
-    assert k * k == per_factor, (sig, field)
+    if k * k != per_factor:
+        raise AssertionError(
+            f"{sig} over {field}: {per_factor} per factor is not a square "
+            f"matrix size")
     return AlgebraDescriptor(factors, k, ring, field)
 
 

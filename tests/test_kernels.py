@@ -2,7 +2,8 @@
 
 Every function is exercised against the pure implementation; when the
 compiled extension is importable the same inputs must produce identical
-outputs, since cliffk.backend treats the two as interchangeable.
+outputs, since cliffk.backend treats the two as interchangeable.  The
+union-find rank of the intertwiner oracle is tested here too.
 """
 
 import random
@@ -10,6 +11,7 @@ import random
 import pytest
 
 from cliffk.backend import available_backends, get_kernel
+from intertwiner_oracle import unit_pair_rank
 
 pure = get_kernel("pure")
 BACKENDS = [get_kernel(name) for name in available_backends()]
@@ -25,15 +27,6 @@ def _random_sparse_rows(rng, nrows, ncols, density=0.4, lo=-9, hi=9):
                 if v:
                     row[j] = v
         rows.append(row)
-    return rows
-
-
-def _random_unit_rows(rng, nrows, ncols):
-    rows = []
-    for _ in range(nrows):
-        k = rng.randint(1, 2)
-        cols = rng.sample(range(ncols), k)
-        rows.append({c: rng.choice((1, -1)) for c in cols})
     return rows
 
 
@@ -88,27 +81,6 @@ class TestPerBackend:
         for mask in range(16):
             assert kern.blade_mul_mask(0, mask, 2) == (1, mask)
             assert kern.blade_mul_mask(mask, 0, 2) == (1, mask)
-
-    def test_unit_pair_rank_basics(self, kern):
-        # x0 = x1, x1 = x2: two independent constraints
-        rows = [{0: 1, 1: -1}, {1: 1, 2: -1}]
-        assert kern.unit_pair_rank(rows, 3) == 2
-        # adding the implied x0 = x2 changes nothing
-        rows.append({0: 1, 2: -1})
-        assert kern.unit_pair_rank(rows, 3) == 2
-        # x0 = -x2 contradicts, killing the whole class
-        rows.append({0: 1, 2: 1})
-        assert kern.unit_pair_rank(rows, 3) == 3
-
-    def test_unit_pair_rank_single_term(self, kern):
-        rows = [{0: 1, 1: 1}, {1: 2}]
-        assert kern.unit_pair_rank(rows, 3) == 2
-
-    def test_unit_pair_rank_rejects_bad_rows(self, kern):
-        with pytest.raises(ValueError):
-            kern.unit_pair_rank([{0: 1, 1: 2}], 2)
-        with pytest.raises(ValueError):
-            kern.unit_pair_rank([{0: 1, 1: 1, 2: 1}], 3)
 
     def test_sparse_rank_matches_dense(self, kern):
         rng = random.Random(7)
@@ -166,6 +138,37 @@ class TestPerBackend:
         assert U == [[1]] and D == [[]] and V == []
 
 
+class TestUnitPairRankOracle:
+    """The union-find rank behind the intertwiner oracle of the reps tests."""
+
+    def test_unit_pair_rank_basics(self):
+        # x0 = x1, x1 = x2: two independent constraints
+        rows = [{0: 1, 1: -1}, {1: 1, 2: -1}]
+        assert unit_pair_rank(rows, 3) == 2
+        # adding the implied x0 = x2 changes nothing
+        rows.append({0: 1, 2: -1})
+        assert unit_pair_rank(rows, 3) == 2
+        # x0 = -x2 contradicts, killing the whole class
+        rows.append({0: 1, 2: 1})
+        assert unit_pair_rank(rows, 3) == 3
+
+    def test_unit_pair_rank_single_term(self):
+        rows = [{0: 1, 1: 1}, {1: 2}]
+        assert unit_pair_rank(rows, 3) == 2
+
+    def test_unit_pair_rank_rejects_bad_rows(self):
+        with pytest.raises(ValueError):
+            unit_pair_rank([{0: 1, 1: 2}], 2)
+        with pytest.raises(ValueError):
+            unit_pair_rank([{0: 1, 1: 1, 2: 1}], 3)
+
+    def test_unit_pair_rank_rejects_bad_columns(self):
+        # a negative column would otherwise wrap around to the last one
+        for row in ({-1: 1, 0: -1}, {3: 1}, {0: 1, 3: 1}):
+            with pytest.raises(ValueError):
+                unit_pair_rank([row], 3)
+
+
 def _rank_fraction(dense, ncols):
     from fractions import Fraction
     rows = [[Fraction(x) for x in row] for row in dense]
@@ -217,15 +220,6 @@ class TestBackendParity:
                 compiled.sparse_rank(rows, ncols)
             assert pure.sparse_nullspace(rows, ncols) == \
                 compiled.sparse_nullspace(rows, ncols)
-
-    def test_unit_rank_parity(self):
-        compiled = get_kernel("compiled")
-        rng = random.Random(19)
-        for _ in range(60):
-            ncols = rng.randint(2, 12)
-            rows = _random_unit_rows(rng, rng.randint(0, 20), ncols)
-            assert pure.unit_pair_rank(rows, ncols) == \
-                compiled.unit_pair_rank(rows, ncols)
 
     def test_snf_parity(self):
         compiled = get_kernel("compiled")

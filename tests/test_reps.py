@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import intertwiner_oracle as oracle
 from cliffk.blades import Signature
 from cliffk.errors import BoundExceededError, EmbeddingError
 from cliffk.reps import (
@@ -266,8 +267,34 @@ class TestRestriction:
         assert len(got[0]) == classify(Signature(8, 3)).factors
 
 
+SIGS_UP_TO_8 = [Signature(p, n - p) for n in range(9) for p in range(n + 1)]
+
+
+class TestAgainstIntertwinerOracle:
+    """Character pairings agree with explicit intertwiner solves."""
+
+    @pytest.mark.parametrize("field", [R, C], ids=["real", "complex"])
+    def test_restriction_exhaustive(self, field):
+        # every (big, small) with big.n <= 8, small = big included
+        for big in SIGS_UP_TO_8:
+            for sp, sq in itertools.product(range(big.p + 1),
+                                            range(big.q + 1)):
+                small = Signature(sp, sq)
+                assert restriction_multiplicities(big, small, field) == \
+                    oracle.restriction_multiplicities(big, small, field), \
+                    (big, small, field)
+
+    @pytest.mark.parametrize("field", [R, C], ids=["real", "complex"])
+    def test_end_dims_exhaustive(self, field):
+        for sig in SIGS_UP_TO_8:
+            labels = (1, -1) if classify(sig, field).factors == 2 else (None,)
+            for label in labels:
+                assert irrep_end_dim(sig, field, label) == \
+                    oracle.irrep_end_dim(sig, field, label), (sig, label)
+
+
 class TestEndomorphismDimensions:
-    """The division-ring constants are realized by explicit solves."""
+    """The division-ring constants are realized by the representations."""
 
     @pytest.mark.parametrize("sig", [s for s in ALL_SMALL if s.n <= 4],
                              ids=str)

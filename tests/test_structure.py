@@ -2,8 +2,13 @@
 descriptor pattern, and the dimension identity tying factors, matrix size,
 and division ring back to 2**(p+q)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import cliffk
 from cliffk.blades import Signature, center_basis
 from cliffk.errors import InvalidSignatureError
 from cliffk.scalars import ScalarField
@@ -140,3 +145,23 @@ def test_periodicity_shapes():
 def test_signature_errors():
     with pytest.raises(InvalidSignatureError):
         classify(Signature(-1, 2))
+
+
+def test_classify_invariants_survive_optimize_flag():
+    # a wrong table entry must still be caught when asserts are compiled out;
+    # (1, R) for C^{1,0} gives 2 real dimensions per factor, not a square
+    code = (
+        "from cliffk.blades import Signature\n"
+        "from cliffk import structure\n"
+        "structure._REAL_TYPE[1] = (1, structure.DivisionRing.R)\n"
+        "try:\n"
+        "    structure.classify(Signature(1, 0))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cliffk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
