@@ -4,15 +4,14 @@ The layers, bottom up: exact scalars and blade arithmetic, signature
 classification into matrix algebras over R, C, H, explicit minimal
 representations with restriction multiplicities, finitely generated
 abelian groups with an exact-sequence solver, and the K-theory tables
-built on all of it.  A compiled kernel accelerates the integer linear
-algebra when available; set CLIFFK_PURE=1 to force the pure fallback.
+built on all of it.  The integer linear algebra runs in one pure-Python
+kernel module, cliffk._kernel_py.
 """
 
 from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
                       UnknownGroup, UnknownMap, check_exact, cokernel,
                       exactness_indices, image, kernel, smith_normal_form,
                       solve_exact)
-from .backend import BACKEND, available_backends
 from .blades import (CliffordElement, Signature, TensorElement, blade_grade,
                      blade_mul, blade_name, center_basis, elem_mul,
                      tensor_mul, top_element)
@@ -36,6 +35,9 @@ from .structure import (AlgebraDescriptor, DivisionRing, classify, irrep_dims,
 
 __version__ = "0.1.0"
 
+# the one kernel implementation; benchmark results are stamped with it
+BACKEND = "pure"
+
 __all__ = [
     "AlgebraDescriptor", "BACKEND", "BoundExceededError", "CliffkError",
     "CliffordElement", "DivisionRing", "EmbeddingError", "FGAbelianGroup",
@@ -45,7 +47,7 @@ __all__ = [
     "SequenceFile", "SequenceParseError", "SearchSpaceError", "Signature",
     "SignatureMismatchError", "TensorElement", "ThomStabilityReport",
     "UNKNOWN_MAP", "UnitPermMatrix", "UnknownGroup", "UnknownMap",
-    "adams_f", "available_backends", "blade_grade", "blade_mul", "blade_name",
+    "adams_f", "blade_grade", "blade_mul", "blade_name",
     "bott_sequence_instance", "build_rep", "center_basis", "check_exact",
     "check_relations", "classify", "cokernel", "elem_mul",
     "exactness_indices", "fiber_twist_check", "forgetful_k_map", "image",

@@ -2,9 +2,7 @@
 
 These are the hot inner loops of the package: basis-blade products, exact
 sparse integer elimination, and Smith normal form with transform
-accumulation.  The compiled module cliffk._kernel implements the same
-functions with the same semantics; cliffk.backend picks whichever is
-available.
+accumulation.  blades, reps and abgroup import this module as their kernel.
 
 All arithmetic is exact.  Matrix entries and row values are Python ints
 (arbitrary precision); blade coefficients are whatever exact ring elements the
@@ -15,8 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-IMPLEMENTATION = "pure"
 
 
 def blade_mul_mask(a: int, b: int, p: int) -> tuple[int, int]:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
-from .backend import kernel as _kernel
+from . import _kernel_py as _kernel
 from .errors import IllDefinedHomError, SearchSpaceError
 
 
@@ -382,6 +382,16 @@ class Sequence:
             isinstance(m, GroupHom) for m in self.maps)
 
 
+def _maps_around(seq: Sequence, at: int) -> tuple[GroupHom, GroupHom]:
+    """The concrete maps into and out of interior term ``at``."""
+    if not 1 <= at <= len(seq.terms) - 2:
+        raise ValueError(f"exactness position {at} is not interior")
+    f, g = seq.maps[at - 1], seq.maps[at]
+    if not isinstance(f, GroupHom) or not isinstance(g, GroupHom):
+        raise ValueError("exactness check needs concrete maps")
+    return f, g
+
+
 def check_exact(seq: Sequence, at: int) -> bool:
     """Exactness at interior term ``at``: image of the incoming map equals
     the kernel of the outgoing one, as subgroups of the middle term.
@@ -390,11 +400,7 @@ def check_exact(seq: Sequence, at: int) -> bool:
     containment is checked on kernel generators against the image lattice
     (image columns plus middle relations).
     """
-    if not 1 <= at <= len(seq.terms) - 2:
-        raise ValueError(f"exactness position {at} is not interior")
-    f, g = seq.maps[at - 1], seq.maps[at]
-    if not isinstance(f, GroupHom) or not isinstance(g, GroupHom):
-        raise ValueError("exactness check needs concrete maps")
+    f, g = _maps_around(seq, at)
     if not (g @ f).is_zero:
         return False
     middle = f.target
@@ -408,47 +414,55 @@ def check_exact(seq: Sequence, at: int) -> bool:
 
 
 def exactness_indices(seq: Sequence, at: int) -> tuple[int | None, int | None]:
-    """([middle : image], [middle : kernel]) as orders, None if infinite."""
-    f, g = seq.maps[at - 1], seq.maps[at]
+    """([middle : image], [middle : kernel]) as orders, None if infinite.
+
+    ``at`` and the maps around it are checked as in check_exact.
+    """
+    f, g = _maps_around(seq, at)
     img_idx = cokernel(f).order()
     ker_idx = image(g).order()
     return img_idx, ker_idx
 
 
-def _centered_residues(modulus: int, bound: int) -> list[int]:
-    out = []
-    for r in range(modulus):
-        centered = r if r <= modulus - r else r - modulus
-        if abs(centered) <= bound:
-            out.append(r)
-    return out
+def _entry_ranges(d_src: int, e_tgt: int, bound: int) -> tuple[range, ...]:
+    """Candidate images of one source generator in one target coordinate.
+
+    A free coordinate takes the integers in [-bound, bound], or only 0 when
+    the source generator has finite order.  A torsion coordinate of order e
+    takes the residues r in [0, e) whose centered representative has
+    absolute value at most ``bound`` and with d_src * r divisible by e: the
+    multiples of e // gcd(d_src, e) in two ascending runs, so that a count
+    costs O(1) and a listing O(candidates).
+    """
+    if e_tgt == 0:
+        return (range(-bound, bound + 1),) if d_src == 0 else (range(1),)
+    step = e_tgt // gcd(d_src, e_tgt)
+    half = e_tgt // 2
+    top = max(half + 1, e_tgt - bound)
+    return (range(0, min(bound, half) + 1, step),
+            range(-(-top // step) * step, e_tgt, step))
 
 
 def _entry_candidates(d_src: int, e_tgt: int, bound: int) -> list[int]:
-    if d_src == 0:
-        if e_tgt == 0:
-            return list(range(-bound, bound + 1))
-        return _centered_residues(e_tgt, bound)
-    if e_tgt == 0:
-        return [0]
-    return [r for r in _centered_residues(e_tgt, bound) if (d_src * r) % e_tgt == 0]
+    return [r for run in _entry_ranges(d_src, e_tgt, bound) for r in run]
+
+
+def _hom_count(src: FGAbelianGroup, tgt: FGAbelianGroup, bound: int) -> int:
+    """Number of candidate matrices, counted without listing any."""
+    return prod(sum(len(run) for run in _entry_ranges(d, e, bound))
+                for e in tgt.gen_orders for d in src.gen_orders)
 
 
 def _hom_candidates(src: FGAbelianGroup, tgt: FGAbelianGroup, bound: int):
-    """Candidate matrices, and their count, in deterministic order."""
+    """Candidate matrices in deterministic order."""
     cells = [
         _entry_candidates(d, e, bound)
         for e in tgt.gen_orders
         for d in src.gen_orders
     ]
-    count = prod(len(c) for c in cells) if cells else 1
     ns = src.n_gens
-
-    def generate():
-        for flat in itertools.product(*cells):
-            yield tuple(flat[i * ns:(i + 1) * ns] for i in range(tgt.n_gens))
-
-    return count, generate
+    for flat in itertools.product(*cells):
+        yield tuple(flat[i * ns:(i + 1) * ns] for i in range(tgt.n_gens))
 
 
 def solve_exact(seq: Sequence, bound: int,
@@ -473,8 +487,7 @@ def solve_exact(seq: Sequence, bound: int,
         subtotal = 1
         for i, m in enumerate(seq.maps):
             if isinstance(m, UnknownMap):
-                cnt, _gen = _hom_candidates(terms[i], terms[i + 1], bound)
-                subtotal *= cnt
+                subtotal *= _hom_count(terms[i], terms[i + 1], bound)
         total += subtotal
     if total > max_assignments:
         raise SearchSpaceError(
@@ -489,8 +502,8 @@ def solve_exact(seq: Sequence, bound: int,
         map_gens = []
         for i, m in enumerate(seq.maps):
             if isinstance(m, UnknownMap):
-                _cnt, gen = _hom_candidates(terms[i], terms[i + 1], bound)
-                map_gens.append(list(gen()))
+                map_gens.append(
+                    list(_hom_candidates(terms[i], terms[i + 1], bound)))
             else:
                 map_gens.append([None])
         for picks in itertools.product(*map_gens):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backend import kernel
+from . import _kernel_py as kernel
 from .errors import (
     BoundExceededError,
     InvalidBladeError,

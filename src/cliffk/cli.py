@@ -166,7 +166,7 @@ def _cmd_seq(args, fmt: str) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     sf = parse_sequence_file(text)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .backend import kernel
+from . import _kernel_py as kernel
 from .blades import CliffordElement, Signature, TensorElement
 from .errors import BoundExceededError, EmbeddingError
 from .scalars import ScalarField

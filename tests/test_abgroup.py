@@ -15,6 +15,8 @@ from cliffk.abgroup import (
     GroupHom,
     Sequence,
     UnknownGroup,
+    _entry_candidates,
+    _hom_count,
     check_exact,
     cokernel,
     exactness_indices,
@@ -344,10 +346,27 @@ class TestCheckExact:
         with pytest.raises(ValueError):
             check_exact(seq, 2 + 1)
 
+    def test_exactness_indices_rejects_end_terms(self):
+        # the two end terms of a four-term sequence, and one step beyond
+        seq = Sequence((TRIV, Z, Z, TRIV),
+                       (GroupHom.zero(TRIV, Z), GroupHom.identity(Z),
+                        GroupHom.zero(Z, TRIV)))
+        for at in (-1, 0, 3, 4):
+            with pytest.raises(ValueError, match="not interior"):
+                exactness_indices(seq, at)
+        assert exactness_indices(seq, 1) == (None, None)
+
     def test_needs_concrete_maps(self):
         seq = Sequence((Z, Z, Z), (UNKNOWN_MAP, GroupHom.identity(Z)))
         with pytest.raises(ValueError):
             check_exact(seq, 1)
+
+    def test_exactness_indices_needs_concrete_maps(self):
+        for maps in ((UNKNOWN_MAP, GroupHom.identity(Z)),
+                     (GroupHom.identity(Z), UNKNOWN_MAP)):
+            seq = Sequence((Z, Z, Z), maps)
+            with pytest.raises(ValueError, match="concrete maps"):
+                exactness_indices(seq, 1)
 
     def test_agrees_with_element_level_oracle(self):
         rng = random.Random(7)
@@ -447,6 +466,49 @@ class TestSolveExact:
                        (UNKNOWN_MAP,))
         with pytest.raises(SearchSpaceError):
             solve_exact(big, bound=2)
+
+    def test_ceiling_checked_before_listing_candidates(self):
+        # 2 * 10**12 + 1 candidate matrices: listing them would exhaust
+        # memory, so the count must come from the entry ranges alone
+        seq = Sequence((Z, Z), (UNKNOWN_MAP,))
+        with pytest.raises(SearchSpaceError, match="2000000000001"):
+            solve_exact(seq, bound=10**12)
+        # a huge torsion target costs O(candidates), not O(modulus)
+        seq = Sequence((Z, cyclic(10**30)), (UNKNOWN_MAP,))
+        sols = solve_exact(seq, bound=1)
+        assert [s.maps[0].matrix for s in sols] == [
+            ((0,),), ((1,),), ((10**30 - 1,),)]
+
+    def test_entry_candidates_match_residue_scan(self):
+        # oracle: scan every residue of the modulus
+        def centered_residues(modulus, bound):
+            out = []
+            for r in range(modulus):
+                centered = r if r <= modulus - r else r - modulus
+                if abs(centered) <= bound:
+                    out.append(r)
+            return out
+
+        def entry_candidates(d_src, e_tgt, bound):
+            if d_src == 0:
+                if e_tgt == 0:
+                    return list(range(-bound, bound + 1))
+                return centered_residues(e_tgt, bound)
+            if e_tgt == 0:
+                return [0]
+            return [r for r in centered_residues(e_tgt, bound)
+                    if (d_src * r) % e_tgt == 0]
+
+        for d in range(13):
+            for e in range(41):
+                for bound in range(6):
+                    expect = entry_candidates(d, e, bound)
+                    assert _entry_candidates(d, e, bound) == expect
+                    if d != 1 and e != 1:
+                        # one generator each, of order d and e (0: free)
+                        src = cyclic(d) if d else Z
+                        tgt = cyclic(e) if e else Z
+                        assert _hom_count(src, tgt, bound) == len(expect)
 
     def test_deterministic_order(self):
         seq = Sequence((Z, cyclic(2), TRIV),

@@ -253,6 +253,14 @@ class TestErrorPaths:
         assert code == 2
         assert "cannot read" in err
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.seq"
+        path.write_bytes(b"term A = Z\n# \xff\n")
+        code, _out, err = run(capsys, "seq", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "utf-8" in err
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,20 +1,14 @@
-"""Backend parity and contracts for the low-level compute kernels.
+"""Contracts for the low-level compute kernels in cliffk._kernel_py.
 
-Every function is exercised against the pure implementation; when the
-compiled extension is importable the same inputs must produce identical
-outputs, since cliffk.backend treats the two as interchangeable.  The
-union-find rank of the intertwiner oracle is tested here too.
+The union-find rank of the intertwiner oracle is tested here too.
 """
 
 import random
 
 import pytest
 
-from cliffk.backend import available_backends, get_kernel
+from cliffk import _kernel_py as kern
 from intertwiner_oracle import unit_pair_rank
-
-pure = get_kernel("pure")
-BACKENDS = [get_kernel(name) for name in available_backends()]
 
 
 def _random_sparse_rows(rng, nrows, ncols, density=0.4, lo=-9, hi=9):
@@ -65,9 +59,8 @@ def _det(mat):
     return int(det)
 
 
-@pytest.mark.parametrize("kern", BACKENDS, ids=lambda k: k.IMPLEMENTATION)
-class TestPerBackend:
-    def test_blade_mul_mask_examples(self, kern):
+class TestKernel:
+    def test_blade_mul_mask_examples(self):
         # e1 * e1 in each metric
         assert kern.blade_mul_mask(1, 1, 1) == (-1, 0)
         assert kern.blade_mul_mask(1, 1, 0) == (1, 0)
@@ -77,12 +70,12 @@ class TestPerBackend:
         # (e1e2)^2 = -1 regardless of the metric split at p = 0
         assert kern.blade_mul_mask(0b11, 0b11, 0) == (-1, 0)
 
-    def test_blade_mul_identity(self, kern):
+    def test_blade_mul_identity(self):
         for mask in range(16):
             assert kern.blade_mul_mask(0, mask, 2) == (1, mask)
             assert kern.blade_mul_mask(mask, 0, 2) == (1, mask)
 
-    def test_sparse_rank_matches_dense(self, kern):
+    def test_sparse_rank_matches_dense(self):
         rng = random.Random(7)
         for _ in range(60):
             nrows = rng.randint(0, 6)
@@ -92,7 +85,7 @@ class TestPerBackend:
             expect = _rank_fraction(dense, ncols)
             assert kern.sparse_rank(rows, ncols) == expect
 
-    def test_sparse_nullspace_annihilates(self, kern):
+    def test_sparse_nullspace_annihilates(self):
         rng = random.Random(11)
         for _ in range(40):
             nrows = rng.randint(1, 5)
@@ -111,7 +104,7 @@ class TestPerBackend:
                     g = gcd(g, v)
                 assert g == 1
 
-    def test_snf_contract(self, kern):
+    def test_snf_contract(self):
         rng = random.Random(13)
         for _ in range(50):
             m = rng.randint(1, 5)
@@ -131,7 +124,7 @@ class TestPerBackend:
                 if b:
                     assert a and b % a == 0
 
-    def test_snf_empty_shapes(self, kern):
+    def test_snf_empty_shapes(self):
         U, D, V = kern.snf([], 0, 0)
         assert (U, D, V) == ([], [], [])
         U, D, V = kern.snf([[]], 1, 0)
@@ -188,57 +181,3 @@ def _rank_fraction(dense, ncols):
         rank += 1
         col += 1
     return rank
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
-class TestBackendParity:
-    def test_blade_mul_parity(self):
-        compiled = get_kernel("compiled")
-        for a in range(64):
-            for b in range(64):
-                for p in (0, 2, 6):
-                    assert pure.blade_mul_mask(a, b, p) == \
-                        compiled.blade_mul_mask(a, b, p)
-
-    def test_blade_mul_parity_wide_masks(self):
-        compiled = get_kernel("compiled")
-        # beyond the 62-bit fast path of the compiled kernel
-        a = (1 << 70) | (1 << 3) | 1
-        b = (1 << 70) | (1 << 5)
-        for p in (0, 4, 71):
-            assert pure.blade_mul_mask(a, b, p) == \
-                compiled.blade_mul_mask(a, b, p)
-
-    def test_rank_and_nullspace_parity(self):
-        compiled = get_kernel("compiled")
-        rng = random.Random(17)
-        for _ in range(40):
-            nrows = rng.randint(0, 6)
-            ncols = rng.randint(1, 7)
-            rows = _random_sparse_rows(rng, nrows, ncols)
-            assert pure.sparse_rank(rows, ncols) == \
-                compiled.sparse_rank(rows, ncols)
-            assert pure.sparse_nullspace(rows, ncols) == \
-                compiled.sparse_nullspace(rows, ncols)
-
-    def test_snf_parity(self):
-        compiled = get_kernel("compiled")
-        rng = random.Random(23)
-        for _ in range(30):
-            m = rng.randint(1, 5)
-            n = rng.randint(1, 5)
-            mat = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(m)]
-            assert pure.snf([list(r) for r in mat], m, n) == \
-                compiled.snf([list(r) for r in mat], m, n)
-
-    def test_mul_term_maps_parity(self):
-        from fractions import Fraction
-        compiled = get_kernel("compiled")
-        rng = random.Random(29)
-        for _ in range(30):
-            ta = {rng.randrange(8): Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                  for _ in range(rng.randint(1, 4))}
-            tb = {rng.randrange(8): Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                  for _ in range(rng.randint(1, 4))}
-            assert pure.mul_term_maps(ta, tb, 2) == \
-                compiled.mul_term_maps(ta, tb, 2)
