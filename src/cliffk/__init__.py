@@ -15,8 +15,8 @@ from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
 from .blades import (CliffordElement, Signature, TensorElement, blade_grade,
                      blade_mul, blade_name, center_basis, elem_mul,
                      tensor_mul, top_element)
-from .errors import (BoundExceededError, CliffkError, EmbeddingError,
-                     IllDefinedHomError, InvalidBladeError,
+from .errors import (MAX_CELLS, BoundExceededError, CliffkError,
+                     EmbeddingError, IllDefinedHomError, InvalidBladeError,
                      InvalidSignatureError, SearchSpaceError,
                      SequenceParseError, SignatureMismatchError)
 from .ktheory import (FiberTwistReport, ForgetfulFunctor, KTheory, RelativeK,
@@ -43,11 +43,11 @@ __all__ = [
     "CliffordElement", "DivisionRing", "EmbeddingError", "FGAbelianGroup",
     "FiberTwistReport", "ForgetfulFunctor", "GaussianRational", "GroupHom",
     "IllDefinedHomError", "InvalidBladeError", "InvalidSignatureError",
-    "KTheory", "MatrixRep", "RelativeK", "ScalarField", "Sequence",
-    "SequenceFile", "SequenceParseError", "SearchSpaceError", "Signature",
-    "SignatureMismatchError", "TensorElement", "ThomStabilityReport",
-    "UNKNOWN_MAP", "UnitPermMatrix", "UnknownGroup", "UnknownMap",
-    "adams_f", "blade_grade", "blade_mul", "blade_name",
+    "KTheory", "MAX_CELLS", "MatrixRep", "RelativeK", "ScalarField",
+    "Sequence", "SequenceFile", "SequenceParseError", "SearchSpaceError",
+    "Signature", "SignatureMismatchError", "TensorElement",
+    "ThomStabilityReport", "UNKNOWN_MAP", "UnitPermMatrix", "UnknownGroup",
+    "UnknownMap", "adams_f", "blade_grade", "blade_mul", "blade_name",
     "bott_sequence_instance", "build_rep", "center_basis", "check_exact",
     "check_relations", "classify", "cokernel", "elem_mul",
     "exactness_indices", "fiber_twist_check", "forgetful_k_map", "image",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from . import _kernel_py as _kernel
-from .errors import IllDefinedHomError, SearchSpaceError
+from .errors import IllDefinedHomError, SearchSpaceError, check_size
 
 
 def smith_normal_form(mat) -> tuple[list, list, list]:
@@ -86,15 +86,19 @@ class FGAbelianGroup:
 
     @classmethod
     def from_invariants(cls, rank: int, factors=()) -> "FGAbelianGroup":
-        """Canonicalize arbitrary cyclic factor orders into a chain."""
+        """Canonicalize arbitrary cyclic factor orders into a chain.
+
+        Only the k x k torsion block goes through Smith normal form; the
+        free rank passes through unchanged.
+        """
         factors = [int(d) for d in factors]
         if any(d < 1 for d in factors):
             raise ValueError("cyclic factor orders must be positive")
-        n = rank + len(factors)
-        rel = [[0] * len(factors) for _ in range(n)]
-        for j, d in enumerate(factors):
-            rel[rank + j][j] = d
-        return cls.from_presentation(n, rel)
+        k = len(factors)
+        check_size(f"group of rank {rank} with {k} cyclic factors", rank + k)
+        rel = [[d if i == j else 0 for j in range(k)]
+               for i, d in enumerate(factors)]
+        return cls(rank, cls.from_presentation(k, rel).torsion)
 
     @classmethod
     def free(cls, rank: int) -> "FGAbelianGroup":
@@ -202,6 +206,8 @@ class GroupHom:
 
     @classmethod
     def zero(cls, source: FGAbelianGroup, target: FGAbelianGroup) -> "GroupHom":
+        check_size(f"zero map {source} -> {target}",
+                   source.n_gens * target.n_gens)
         return cls(source, target,
                    tuple((0,) * source.n_gens for _ in range(target.n_gens)))
 

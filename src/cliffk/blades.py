@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from . import _kernel_py as kernel
 from .errors import (
-    BoundExceededError,
     InvalidBladeError,
     InvalidSignatureError,
     SignatureMismatchError,
+    check_size,
 )
 from .scalars import ScalarField
 
@@ -227,22 +227,21 @@ def top_element(sig: Signature, field: ScalarField = ScalarField.REAL) -> Cliffo
     return CliffordElement.blade(sig, sig.dim - 1, 1, field)
 
 
-def center_basis(sig: Signature, field: ScalarField = ScalarField.REAL,
-                 max_total: int = 8) -> list[CliffordElement]:
+def center_basis(sig: Signature, field: ScalarField = ScalarField.REAL
+                 ) -> list[CliffordElement]:
     """Basis of the center, by exact linear solve over coefficient space.
 
     Builds the commutator system [x, ei] = 0 for all generators over the full
     2**n coefficient space and returns a primitive basis of its solution
-    space, in ascending leading-blade order.
+    space, in ascending leading-blade order.  Raises BoundExceededError when
+    the n * 2**n commutator entries pass MAX_CELLS.
 
     >>> [str(b) for b in center_basis(Signature(0, 2))]
     ['(1)']
     >>> len(center_basis(Signature(3, 0)))
     2
     """
-    if sig.n > max_total:
-        raise BoundExceededError(
-            f"center_basis limited to {max_total} generators, got {sig.n}")
+    check_size(f"center_basis of {sig}", sig.n * sig.dim)
     dim = sig.dim
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(1, sig.n + 1):

@@ -117,7 +117,8 @@ def _cmd_rpn(args, fmt: str) -> int:
 
 def _cmd_bott(args, fmt: str) -> int:
     theory = _THEORIES[args.theory]
-    groups = [point_k(i, theory) for i in range(args.max_degree + 1)]
+    # top degree first: an over-bound table fails before the rest is built
+    groups = [point_k(i, theory) for i in range(args.max_degree, -1, -1)][::-1]
     if fmt == "json":
         print(json.dumps({
             "theory": theory.value, "max": args.max_degree,

@@ -18,7 +18,16 @@ class SignatureMismatchError(CliffkError, ValueError):
 
 
 class BoundExceededError(CliffkError, ValueError):
-    """A computation was requested beyond its configured size bound."""
+    """A construction would build more than MAX_CELLS entries."""
+
+
+MAX_CELLS = 1 << 20  # the one size bound, in entries built
+
+
+def check_size(what: str, cells: int) -> None:
+    """Raise BoundExceededError, before allocating, past MAX_CELLS entries."""
+    if cells > MAX_CELLS:
+        raise BoundExceededError(f"{what} would build more than {MAX_CELLS} entries")
 
 
 class EmbeddingError(CliffkError, ValueError):

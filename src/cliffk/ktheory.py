@@ -68,7 +68,7 @@ def k0(sig: Signature, field: ScalarField = ScalarField.REAL) -> FGAbelianGroup:
     return FGAbelianGroup.free(classify(sig, field).factors)
 
 
-def forgetful_k_map(functor: ForgetfulFunctor, max_total: int = 16) -> GroupHom:
+def forgetful_k_map(functor: ForgetfulFunctor) -> GroupHom:
     """The K0 map of a forgetful functor: the restriction multiplicity
     matrix, one column per big simple factor, one row per small one.
 
@@ -77,7 +77,7 @@ def forgetful_k_map(functor: ForgetfulFunctor, max_total: int = 16) -> GroupHom:
     ((2,),)
     """
     matrix = restriction_multiplicities(functor.big, functor.small,
-                                        functor.field, max_total=max_total)
+                                        functor.field)
     return GroupHom(k0(functor.big, functor.field),
                     k0(functor.small, functor.field), matrix)
 
@@ -92,13 +92,13 @@ class RelativeK(NamedTuple):
         return f"(coker {self.coker}, ker {self.ker})"
 
 
-def relative_k(functor: ForgetfulFunctor, max_total: int = 16) -> RelativeK:
+def relative_k(functor: ForgetfulFunctor) -> RelativeK:
     """Cokernel and kernel of the K0 restriction map.
 
     >>> str(relative_k(ForgetfulFunctor(Signature(1, 0), Signature(0, 0))))
     '(coker Z/2, ker 0)'
     """
-    f = forgetful_k_map(functor, max_total=max_total)
+    f = forgetful_k_map(functor)
     return RelativeK(cokernel(f), kernel(f))
 
 
@@ -126,7 +126,7 @@ def reduced_k_rpn(n: int, theory: KTheory = KTheory.KO) -> FGAbelianGroup:
     if n < 1:
         raise ValueError("n must be positive")
     functor = ForgetfulFunctor(Signature(n, 0), Signature(0, 0), theory.field)
-    return cokernel(forgetful_k_map(functor, max_total=max(16, n)))
+    return cokernel(forgetful_k_map(functor))
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +147,7 @@ def point_k(i: int, theory: KTheory = KTheory.KO) -> FGAbelianGroup:
         return FGAbelianGroup.free(1)
     functor = ForgetfulFunctor(Signature(i, 0), Signature(i - 1, 0),
                                theory.field)
-    return cokernel(forgetful_k_map(functor, max_total=max(16, i)))
+    return cokernel(forgetful_k_map(functor))
 
 
 @dataclass(frozen=True)
@@ -198,11 +198,11 @@ def thom_stability(n: int, r_max: int) -> ThomStabilityReport:
 
     def growth_pair(m: int) -> RelativeK:
         functor = ForgetfulFunctor(Signature(0, m + 1), Signature(0, m))
-        return relative_k(functor, max_total=max(16, m + 1))
+        return relative_k(functor)
 
     def degree_pair(j: int) -> RelativeK:
         functor = ForgetfulFunctor(Signature(j, 0), Signature(j - 1, 0))
-        return relative_k(functor, max_total=max(16, j))
+        return relative_k(functor)
 
     period_checks = []
     shift_checks = []

@@ -30,7 +30,8 @@ from functools import lru_cache
 
 from . import _kernel_py as kernel
 from .blades import CliffordElement, Signature, TensorElement
-from .errors import BoundExceededError, EmbeddingError
+from .errors import (BoundExceededError, EmbeddingError,
+                     InvalidSignatureError, check_size)
 from .scalars import ScalarField
 from .structure import classify, min_faithful_dim
 
@@ -262,6 +263,7 @@ class MatrixRep:
 
     def blade_matrices(self) -> list[UnitPermMatrix]:
         """All 2**n blade images, indexed by mask, via shared prefixes."""
+        check_size(f"blade_matrices of {self.sig}", self.sig.dim * self.dim)
         mats = [UnitPermMatrix.identity(self.dim)] * self.sig.dim
         for mask in range(1, self.sig.dim):
             low = mask & -mask
@@ -270,18 +272,15 @@ class MatrixRep:
         return mats
 
 
-def build_rep(sig: Signature, field: ScalarField = _REAL,
-              max_total: int = 12) -> MatrixRep:
+def build_rep(sig: Signature, field: ScalarField = _REAL) -> MatrixRep:
     """Minimal faithful representation by the fixed recursion above.
 
     Deterministic: the same signature always yields the same matrices.  The
     module has dimension equal to the sum of the simple module dimensions
-    (one copy of each).  Raises BoundExceededError past ``max_total``
-    generators; callers with a genuine need may raise the bound.
+    (one copy of each).  Raises BoundExceededError, before building anything,
+    when the n generator images of that dimension pass MAX_CELLS entries.
     """
-    if sig.n > max_total:
-        raise BoundExceededError(
-            f"build_rep limited to {max_total} generators, got {sig.n}")
+    check_size(f"build_rep of {sig}", sig.n * min_faithful_dim(sig, field))
     if field is _REAL:
         dim, gens = _real_gens(sig.p, sig.q)
     else:
@@ -407,11 +406,29 @@ def _embedding_indices(big: Signature, small: Signature) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _restriction(big: Signature, small: Signature,
-                 field: ScalarField) -> tuple[tuple[int, ...], ...]:
+def restriction_multiplicities(big: Signature, small: Signature,
+                               field: ScalarField = _REAL
+                               ) -> tuple[tuple[int, ...], ...]:
+    """Multiplicity of each simple summand of the big algebra over the small.
+
+    Restricting along the generator-segment embedding of C^{small} into
+    C^{big}, entry [s][b] is the multiplicity of the small algebra's simple
+    module s inside the restriction of the big algebra's simple module b.
+    Computed as dim Hom(S, B|small) / dim End(S), each an exact character
+    pairing over the central blades of the small algebra (1, and the volume
+    element when it has an odd number of generators), with the summands cut
+    out by the central involutions.  The tests check it against explicit
+    intertwiner solves.  The size bound is build_rep's.
+
+    >>> from cliffk.blades import Signature
+    >>> restriction_multiplicities(Signature(1, 0), Signature(0, 0))
+    ((2,),)
+    >>> restriction_multiplicities(Signature(3, 0), Signature(2, 0))
+    ((1, 1),)
+    """
     emb_idx = _embedding_indices(big, small)
-    rep_b = build_rep(big, field, max_total=max(12, big.n))
-    rep_s = build_rep(small, field, max_total=max(12, small.n))
+    rep_b = build_rep(big, field)
+    rep_s = build_rep(small, field)
     _assert_minimal_faithful(rep_b)
     _assert_minimal_faithful(rep_s)
     chi_b = _summand_characters(rep_b, [rep_b.gens[t] for t in emb_idx])
@@ -432,34 +449,6 @@ def _restriction(big: Signature, small: Signature,
     return tuple(rows)
 
 
-def restriction_multiplicities(big: Signature, small: Signature,
-                               field: ScalarField = _REAL,
-                               max_total: int = 10) -> tuple[tuple[int, ...], ...]:
-    """Multiplicity of each simple summand of the big algebra over the small.
-
-    Restricting along the generator-segment embedding of C^{small} into
-    C^{big}, entry [s][b] is the multiplicity of the small algebra's simple
-    module s inside the restriction of the big algebra's simple module b.
-    Computed as dim Hom(S, B|small) / dim End(S), each an exact character
-    pairing over the central blades of the small algebra (1, and the volume
-    element when it has an odd number of generators), with the summands cut
-    out by the central involutions.  The tests check it against explicit
-    intertwiner solves.
-
-    >>> from cliffk.blades import Signature
-    >>> restriction_multiplicities(Signature(1, 0), Signature(0, 0))
-    ((2,),)
-    >>> restriction_multiplicities(Signature(3, 0), Signature(2, 0))
-    ((1, 1),)
-    """
-    if big.n > max_total:
-        raise BoundExceededError(
-            f"restriction_multiplicities limited to {max_total} generators, "
-            f"got {big.n}")
-    _embedding_indices(big, small)
-    return _restriction(big, small, field)
-
-
 def irrep_end_dim(sig: Signature, field: ScalarField = _REAL,
                   label=None) -> int:
     """dim over the scalar field of End of one simple module, as <chi, chi>.
@@ -478,20 +467,20 @@ def irrep_end_dim(sig: Signature, field: ScalarField = _REAL,
 
 
 def verify_classification(sig: Signature, field: ScalarField = _REAL,
-                          max_total: int = 8) -> bool:
+                          max_total: int | None = None) -> bool:
     """Check the classification table against the explicit representation.
 
     True iff the built representation satisfies the generator relations, has
     the minimal faithful dimension predicted by the table, and its 2**n blade
     images span a space of exact dimension 2**n over the scalar field (so the
     image algebra has the full dimension and the module is faithful with the
-    stated summand multiplicities).
+    stated summand multiplicities).  The blade images are bounded by
+    MAX_CELLS; ``max_total``, when given, also caps the generator count.
     """
-    if sig.n > max_total:
-        raise BoundExceededError(
-            f"verify_classification limited to {max_total} generators, "
-            f"got {sig.n}")
-    rep = build_rep(sig, field, max_total=max(12, sig.n))
+    if max_total is not None and sig.n > max_total:
+        raise BoundExceededError(f"{sig} has more than {max_total} generators")
+    rep = build_rep(sig, field)
+    mats = rep.blade_matrices()
     desc = classify(sig, field)
     if not check_relations(rep):
         return False
@@ -499,7 +488,6 @@ def verify_classification(sig: Signature, field: ScalarField = _REAL,
         return False
     if desc.dim_over_field != sig.dim:
         return False
-    mats = rep.blade_matrices()
     d = rep.dim
     if field is _REAL:
         rows = []
@@ -523,17 +511,17 @@ def verify_classification(sig: Signature, field: ScalarField = _REAL,
     return kernel.sparse_rank(rows, 2 * d * d) == 2 * sig.dim
 
 
-def verify_periodicity_iso(m: int, max_m: int = 6) -> bool:
+def verify_periodicity_iso(m: int) -> bool:
     """Explicit generator-level isomorphism C^{0,m+2} -> C^{m,0} (x) C^{0,2}.
 
     Sends the first m generators to t_j (x) e1 e2 and the last two to
     1 (x) e1, 1 (x) e2.  Checks the images satisfy the domain relations
     (square +1, pairwise anticommuting) and that the 2**(m+2) blade images
     are linearly independent, so the map is an isomorphism of algebras.
+    Its (m+2) * 2**(m+2) blade-image entries are bounded by MAX_CELLS.
     """
-    if not 0 <= m <= max_m:
-        raise BoundExceededError(f"verify_periodicity_iso limited to {max_m}")
-    left = Signature(m, 0)
+    left = Signature(m, 0)  # rejects a negative m
+    check_size(f"verify_periodicity_iso({m})", (m + 2) << (m + 2))
     right = Signature(0, 2)
     one_l = CliffordElement.one(left)
     e1 = CliffordElement.generator(right, 1)
@@ -581,17 +569,19 @@ def _crossed_mul(t1, t2, n: int):
     return sign * s, (m, a ^ c)
 
 
-def untwist_split_check(n: int, max_n: int = 6) -> bool:
+def untwist_split_check(n: int) -> bool:
     """Splitting of the eta-extended algebra by the top-generator twist.
 
     In C^{0,n+1} extended by an involution eta that anticommutes with the
     first n generators and commutes with the last, the element z = eta *
     e_{n+1} is checked to be a central involution; the two corners cut out by
     (1 +- z)/2 then each have dimension 2**(n+1) and multiplication by either
-    idempotent embeds C^{0,n+1} isomorphically onto its corner.
+    idempotent embeds C^{0,n+1} isomorphically onto its corner.  Its
+    (n+2) * 2**(n+2) entries are bounded by MAX_CELLS.
     """
-    if not 0 <= n <= max_n:
-        raise BoundExceededError(f"untwist_split_check limited to {max_n}")
+    if n < 0:
+        raise InvalidSignatureError(f"negative reflected-direction count {n}")
+    check_size(f"untwist_split_check({n})", (n + 2) << (n + 2))
     nblades = 1 << (n + 1)
     total = 2 * nblades
 

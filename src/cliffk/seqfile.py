@@ -34,6 +34,14 @@ _CYCLIC_RE = re.compile(r"^Z/(\d+)$")
 _POWER_RE = re.compile(r"^Z\^(\d+)$")
 
 
+def _parse_int(digits: str, lineno: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's integer string limit
+        raise SequenceParseError(lineno, f"integer of {len(digits)} digits "
+                                 "is too long") from None
+
+
 def _parse_group(text: str, lineno: int) -> FGAbelianGroup:
     text = text.strip()
     if text == "0":
@@ -45,9 +53,9 @@ def _parse_group(text: str, lineno: int) -> FGAbelianGroup:
         if part == "Z":
             rank += 1
         elif m := _POWER_RE.match(part):
-            rank += int(m.group(1))
+            rank += _parse_int(m.group(1), lineno)
         elif m := _CYCLIC_RE.match(part):
-            d = int(m.group(1))
+            d = _parse_int(m.group(1), lineno)
             if d < 2:
                 raise SequenceParseError(lineno, f"torsion order {d} < 2")
             factors.append(d)
@@ -180,7 +188,7 @@ def parse_sequence_file(text: str) -> SequenceFile:
         elif m := _SOLVE_RE.match(line):
             if solve_bound is not None:
                 raise SequenceParseError(lineno, "duplicate solve bound")
-            solve_bound = int(m.group(1))
+            solve_bound = _parse_int(m.group(1), lineno)
             if solve_bound < 1:
                 raise SequenceParseError(lineno, "solve bound must be positive")
         else:

@@ -10,12 +10,13 @@ representations in cliffk.reps, not assumed there.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
 from .blades import Signature
-from .errors import InvalidSignatureError
+from .errors import BoundExceededError, InvalidSignatureError
 from .scalars import ScalarField
 
 
@@ -75,6 +76,12 @@ class AlgebraDescriptor:
 
 
 @lru_cache(maxsize=None)
+def _max_printable_exponent(digits: int) -> int:
+    """Largest n such that 2**n has at most ``digits`` decimal digits."""
+    return (10 ** digits).bit_length() - 1
+
+
+@lru_cache(maxsize=None)
 def classify(sig: Signature, field: ScalarField = ScalarField.REAL) -> AlgebraDescriptor:
     """Matrix-algebra form of C^{p,q} over the given scalar field.
 
@@ -84,10 +91,18 @@ def classify(sig: Signature, field: ScalarField = ScalarField.REAL) -> AlgebraDe
     'M_2(R)'
     >>> str(classify(Signature(3, 0), ScalarField.REAL))
     'M_1(H) (+) M_1(H)'
+
+    The dimension 2**n must be printable: past the interpreter's integer
+    string limit BoundExceededError is raised before any big-integer work.
     """
     if not isinstance(sig, Signature):
         raise InvalidSignatureError(f"expected a Signature, got {sig!r}")
     n = sig.n
+    digits = (sys.get_int_max_str_digits()
+              or sys.int_info.default_max_str_digits)
+    if n > _max_printable_exponent(digits):
+        raise BoundExceededError(
+            f"{sig}: dimension 2**{n} has more than {digits} decimal digits")
     if field is ScalarField.REAL:
         factors, ring = _REAL_TYPE[(sig.p - sig.q) % 8]
     else:

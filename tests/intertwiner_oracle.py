@@ -190,8 +190,8 @@ def restriction_multiplicities(big: Signature, small: Signature,
                                ) -> tuple[tuple[int, ...], ...]:
     """Same contract as cliffk.reps.restriction_multiplicities, by solves."""
     emb_idx = _embedding_indices(big, small)
-    rep_b = build_rep(big, field, max_total=big.n)
-    rep_s = build_rep(small, field, max_total=small.n)
+    rep_b = build_rep(big, field)
+    rep_s = build_rep(small, field)
     desc_b = classify(big, field)
     desc_s = classify(small, field)
     cb = _central_involution(rep_b) if desc_b.factors == 2 else None
@@ -217,7 +217,7 @@ def restriction_multiplicities(big: Signature, small: Signature,
 def irrep_end_dim(sig: Signature, field: ScalarField = _REAL,
                   label=None) -> int:
     """Same contract as cliffk.reps.irrep_end_dim, by an explicit solve."""
-    rep = build_rep(sig, field, max_total=sig.n)
+    rep = build_rep(sig, field)
     cond = None
     if classify(sig, field).factors == 2:
         cond = (_central_involution(rep), label)

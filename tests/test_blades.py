@@ -177,8 +177,9 @@ def test_center_basis_spans_omega():
 
 
 def test_center_basis_bound():
+    # n * 2**n entries: n = 16 reaches MAX_CELLS, n = 17 passes it
     with pytest.raises(BoundExceededError):
-        center_basis(Signature(5, 4))
+        center_basis(Signature(9, 8))
 
 
 def test_complex_field_elements():

@@ -1,0 +1,179 @@
+"""The one size bound: where it sits, what it admits, what it refuses."""
+
+import inspect
+import os
+import resource
+import subprocess
+import sys
+import time
+
+import pytest
+
+import cliffk
+from cliffk import blades, errors, reps, structure
+from cliffk.blades import Signature, center_basis
+from cliffk.errors import MAX_CELLS, BoundExceededError
+from cliffk.ktheory import KTheory, point_k, reduced_k_rpn
+from cliffk.reps import (build_rep, untwist_split_check,
+                         verify_classification, verify_periodicity_iso)
+from cliffk.scalars import ScalarField
+
+R = ScalarField.REAL
+C = ScalarField.COMPLEX
+
+# the only max_* parameters left in the public surface
+ALLOWED_KNOBS = {("verify_classification", "max_total"),
+                 ("solve_exact", "max_assignments")}
+
+
+def _public_signatures():
+    for name in cliffk.__all__:
+        obj = getattr(cliffk, name)
+        if inspect.isclass(obj):
+            members = [(f"{name}.{attr}", fn)
+                       for attr, fn in vars(obj).items()
+                       if not attr.startswith("_")
+                       and inspect.isfunction(getattr(fn, "__func__", fn))]
+            members.append((name, obj))
+        elif callable(obj):
+            members = [(name, obj)]
+        else:
+            continue
+        for qualname, fn in members:
+            try:
+                sig = inspect.signature(getattr(fn, "__func__", fn))
+            except ValueError:
+                continue
+            yield qualname, sig
+
+
+def test_no_size_knobs():
+    found = {(qualname, param)
+             for qualname, sig in _public_signatures()
+             for param in sig.parameters if param.startswith("max_")}
+    assert found == ALLOWED_KNOBS
+
+
+class _Reached(Exception):
+    pass
+
+
+# (module whose check_size the site calls, label prefix, admitted, refused):
+# the admitted call is the largest that fits, the refused one the next size
+SITES = {
+    "build_rep real": (reps, "build_rep", lambda: build_rep(Signature(30, 0)),
+                       lambda: build_rep(Signature(31, 0))),
+    "build_rep complex": (reps, "build_rep",
+                          lambda: build_rep(Signature(0, 30), C),
+                          lambda: build_rep(Signature(0, 31), C)),
+    "blade_matrices": (reps, "blade_matrices",
+                       lambda: build_rep(Signature(0, 12)).blade_matrices(),
+                       lambda: build_rep(Signature(0, 13)).blade_matrices()),
+    "verify_classification": (
+        reps, "blade_matrices",
+        lambda: verify_classification(Signature(12, 0)),
+        lambda: verify_classification(Signature(0, 13))),
+    "center_basis": (blades, "center_basis",
+                     lambda: center_basis(Signature(8, 8)),
+                     lambda: center_basis(Signature(9, 8))),
+    "verify_periodicity_iso": (reps, "verify_periodicity_iso",
+                               lambda: verify_periodicity_iso(14),
+                               lambda: verify_periodicity_iso(15)),
+    "untwist_split_check": (reps, "untwist_split_check",
+                            lambda: untwist_split_check(14),
+                            lambda: untwist_split_check(15)),
+    "point_k": (reps, "build_rep", lambda: point_k.__wrapped__(30, KTheory.KO),
+                lambda: point_k(31, KTheory.KO)),
+    "reduced_k_rpn": (reps, "build_rep", lambda: reduced_k_rpn(30, KTheory.KU),
+                      lambda: reduced_k_rpn(31, KTheory.KU)),
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_largest_admitted_size(site, monkeypatch):
+    # stop the admitted call at its site's check, after the real check passed,
+    # so the construction itself is not run
+    module, label, admitted, _refused = SITES[site]
+    seen = []
+
+    def spy(what, cells):
+        errors.check_size(what, cells)
+        if what.startswith(label):
+            seen.append(cells)
+            raise _Reached
+
+    monkeypatch.setattr(module, "check_size", spy)
+    with pytest.raises(_Reached):
+        admitted()
+    assert seen and seen[-1] <= MAX_CELLS
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_first_refused_size(site):
+    _module, _label, _admitted, refused = SITES[site]
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError):
+        refused()
+    assert time.perf_counter() - start < 1
+
+
+def test_bound_is_inclusive():
+    errors.check_size("edge", MAX_CELLS)
+    with pytest.raises(BoundExceededError):
+        errors.check_size("edge", MAX_CELLS + 1)
+
+
+def test_classify_unlimited_string_digits_uses_default(monkeypatch):
+    # a limit of 0 means unlimited; classify then falls back to the default
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    edge = structure._max_printable_exponent(
+        sys.int_info.default_max_str_digits)
+    assert edge == 14284
+    with pytest.raises(BoundExceededError):
+        structure.classify.__wrapped__(Signature(edge + 1, 0))
+    assert structure.classify.__wrapped__(Signature(edge, 0), C).factors == 1
+
+
+def test_classify_follows_raised_string_limit(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5000)
+    desc = structure.classify.__wrapped__(Signature(15000, 0), R)
+    assert desc.matrix_size == 1 << 7500
+
+
+CHILD = """
+from cliffk.cli import main
+from cliffk.errors import BoundExceededError
+from cliffk.ktheory import thom_stability
+for argv in (["bott", "--max", "64"], ["rpn", "64"], ["rpn", "10000000"]):
+    assert main(argv) == 2, argv
+try:
+    thom_stability(30, 0)
+except BoundExceededError:
+    pass
+else:
+    raise SystemExit("thom_stability(30, 0) was admitted")
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_refusals_stay_small():
+    # one child, capped at 1 GiB of address space, runs every refusal;
+    # its peak resident set must stay under 50 MB
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", CHILD], env=env,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE,
+                            preexec_fn=_limit_address_space)
+    _pid, status, usage = os.wait4(proc.pid, 0)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert os.waitstatus_to_exitcode(status) == 0, err
+    assert time.perf_counter() - start < 5
+    assert usage.ru_maxrss < 50 * 1024  # kilobytes on Linux

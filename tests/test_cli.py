@@ -1,6 +1,7 @@
 """Command line behavior: output text, JSON shape, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -272,3 +273,63 @@ class TestErrorPaths:
         assert code == 0
         assert err == ""
         assert "M_" in out
+
+    def test_classify_refuses_unprintable_dimension(self, capsys):
+        # 2**14284 has 4300 decimal digits, the default integer string limit
+        code, out, _err = run(capsys, "classify", "14284", "0")
+        assert code == 0
+        assert out.endswith(")\n")
+        code, out, err = run(capsys, "classify", "15000", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: C^{15000,0}: dimension 2**15000 ")
+
+
+class TestSizeBound:
+    """Over-bound inputs exit 2 at once, before any large construction."""
+
+    @pytest.mark.parametrize("argv", [
+        ("bott", "--max", "64"), ("bott", "--max", "31", "--theory", "ku"),
+        ("rpn", "64"), ("rpn", "10000000"), ("classify", "10000000", "0"),
+    ], ids=" ".join)
+    def test_refused_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_million_generator_free_group(self, capsys, tmp_path):
+        path = tmp_path / "wide.seq"
+        path.write_text("term A = Z^1000000\nterm B = 0\n"
+                        "map f : A -> B = [[0]]\n")
+        start = time.perf_counter()
+        code, out, _err = run(capsys, "seq", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out == "exact at all checked positions\n"
+
+    def test_group_literal_over_bound(self, capsys, tmp_path):
+        path = tmp_path / "huge.seq"
+        path.write_text("term A = Z^1000000000\nterm B = 0\n"
+                        "map f : A -> B = [[0]]\n")
+        code, _out, err = run(capsys, "seq", str(path))
+        assert code == 2
+        assert "group of rank 1000000000" in err
+
+    def test_zero_map_over_bound(self, capsys, tmp_path):
+        path = tmp_path / "square.seq"
+        path.write_text("term A = Z^2000\nterm B = Z^2000\n"
+                        "map f : A -> B = [[0]]\n")
+        code, _out, err = run(capsys, "seq", str(path))
+        assert code == 2
+        assert err.startswith("error: zero map Z^2000 -> Z^2000 ")
+
+    def test_integer_past_string_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.seq"
+        path.write_text(f"term A = Z/{'7' * 5000}\nterm B = 0\n"
+                        "map f : A -> B = [[0]]\n")
+        code, _out, err = run(capsys, "seq", str(path))
+        assert code == 2
+        assert err == "error: line 1: integer of 5000 digits is too long\n"

@@ -65,9 +65,9 @@ class TestK0AndForgetful:
         assert f.matrix == ((1,), (1,))
 
     def test_generator_bound_propagates(self):
-        functor = ForgetfulFunctor(Signature(3, 0), Signature(0, 0))
+        functor = ForgetfulFunctor(Signature(31, 0), Signature(30, 0))
         with pytest.raises(BoundExceededError):
-            forgetful_k_map(functor, max_total=2)
+            forgetful_k_map(functor)
 
 
 class TestRelativeK:

@@ -6,7 +6,8 @@ import pytest
 
 import intertwiner_oracle as oracle
 from cliffk.blades import Signature
-from cliffk.errors import BoundExceededError, EmbeddingError
+from cliffk.errors import (BoundExceededError, EmbeddingError,
+                           InvalidSignatureError)
 from cliffk.reps import (
     MatrixRep,
     UnitPermMatrix,
@@ -161,14 +162,17 @@ class TestRelationsAndDimensions:
                                      Signature(15, 0), Signature(6, 7)],
                              ids=str)
     def test_large_signatures(self, sig):
-        rep = build_rep(sig, max_total=16)
+        rep = build_rep(sig)
         assert rep.dim == min_faithful_dim(sig)
         assert check_relations(rep)
 
     def test_generator_count_bound(self):
+        # 31 generators of dimension 65536 pass MAX_CELLS; 30 of 32768 do not
         with pytest.raises(BoundExceededError):
-            build_rep(Signature(13, 0))
-        assert build_rep(Signature(13, 0), max_total=13).dim == 128
+            build_rep(Signature(31, 0))
+        with pytest.raises(BoundExceededError):
+            build_rep(Signature(0, 31), C)
+        assert build_rep(Signature(13, 0)).dim == 128
 
     def test_broken_rep_fails_relations(self):
         rep = build_rep(Signature(0, 2))
@@ -196,9 +200,13 @@ class TestClassificationCheck:
         assert verify_classification(sig, field)
 
     def test_bound(self):
+        # 2**13 blade images of dimension 256 pass MAX_CELLS
         with pytest.raises(BoundExceededError):
-            verify_classification(Signature(9, 0))
-        assert verify_classification(Signature(9, 0), max_total=9)
+            verify_classification(Signature(0, 13))
+        # the generator cap, when given, refuses on its own
+        with pytest.raises(BoundExceededError):
+            verify_classification(Signature(9, 0), max_total=8)
+        assert verify_classification(Signature(9, 0))
 
 
 RESTRICTION_CASES = [
@@ -260,10 +268,10 @@ class TestRestriction:
             restriction_multiplicities(Signature(1, 0), Signature(0, 2))
 
     def test_generator_bound(self):
+        # the bound is build_rep's, on the big signature
         with pytest.raises(BoundExceededError):
-            restriction_multiplicities(Signature(8, 3), Signature(0, 0))
-        got = restriction_multiplicities(Signature(8, 3), Signature(8, 2),
-                                         max_total=11)
+            restriction_multiplicities(Signature(31, 0), Signature(0, 0))
+        got = restriction_multiplicities(Signature(8, 3), Signature(8, 2))
         assert len(got[0]) == classify(Signature(8, 3)).factors
 
 
@@ -323,13 +331,21 @@ class TestStructuralIsomorphisms:
         assert verify_periodicity_iso(m)
 
     def test_periodicity_bound(self):
+        # (m+2) * 2**(m+2) entries: m = 14 reaches MAX_CELLS, m = 15 passes it
         with pytest.raises(BoundExceededError):
-            verify_periodicity_iso(7)
+            verify_periodicity_iso(15)
 
     @pytest.mark.parametrize("n", range(3))
     def test_untwist_split(self, n):
         assert untwist_split_check(n)
 
     def test_untwist_bound(self):
+        # (n+2) * 2**(n+2) entries: n = 14 reaches MAX_CELLS, n = 15 passes it
         with pytest.raises(BoundExceededError):
-            untwist_split_check(7)
+            untwist_split_check(15)
+
+    def test_negative_parameters(self):
+        with pytest.raises(InvalidSignatureError):
+            verify_periodicity_iso(-3)
+        with pytest.raises(InvalidSignatureError):
+            untwist_split_check(-3)
