@@ -14,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import check_size
+
 
 def blade_mul_mask(a: int, b: int, p: int) -> tuple[int, int]:
     """Multiply basis blades given as bitmasks; bit i is generator i+1.
@@ -241,8 +243,11 @@ def snf(mat, nrows: int, ncols: int) -> tuple[list, list, list]:
 
     U and V are unimodular; D is diagonal with non-negative entries in a
     divisibility chain d1 | d2 | ... followed by zeros.  Matrices are lists
-    of row lists.
+    of row lists.  The transforms hold nrows**2 + ncols**2 entries, which
+    must fit MAX_CELLS.
     """
+    check_size(f"Smith normal form of a {nrows} x {ncols} matrix",
+               nrows * nrows + ncols * ncols)
     D = [list(row) for row in mat]
     U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]

@@ -1,7 +1,8 @@
 """Finitely generated abelian groups, homomorphisms, and exact sequences.
 
 Groups are kept in invariant-factor form: a free rank plus a divisibility
-chain d1 | d2 | ... of torsion orders, computed by Smith normal form.
+chain d1 | d2 | ... of torsion orders, computed by Smith normal form from a
+presentation, or by a gcd/lcm sweep from a list of cyclic orders.
 Generators are ordered free-first, then torsion in chain order, so elements
 and homomorphism matrices have a fixed coordinate convention throughout.
 
@@ -25,7 +26,9 @@ def smith_normal_form(mat) -> tuple[list, list, list]:
     """(U, D, V) with U @ mat @ V == D, U and V unimodular.
 
     D is diagonal with non-negative entries forming a divisibility chain,
-    zeros last.  ``mat`` is a list of equal-length rows.
+    zeros last.  ``mat`` is a list of equal-length rows.  A shape whose
+    transforms U and V would exceed MAX_CELLS entries raises
+    BoundExceededError.
 
     >>> U, D, V = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]]
@@ -46,6 +49,42 @@ def _hstack(a, b):
     if not b:
         return [list(r) for r in a]
     return [list(ra) + list(rb) for ra, rb in zip(a, b, strict=True)]
+
+
+def _push_run(runs: list, value: int, count: int) -> None:
+    if runs and runs[-1][0] == value:
+        runs[-1][1] += count
+    else:
+        runs.append([value, count])
+
+
+def _invariant_chain(orders) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of Z/o1 + Z/o2 + ..., all above 1.
+
+    The orders enter one at a time.  Inserting Z/x into a chain, walked
+    from the top, replaces each c by lcm(c, x) and carries gcd(c, x) on
+    down: prime by prime, that slots x's exponent into the sorted exponents
+    of the chain.  The chain is kept as runs of equal values.  A carry that
+    divides a run's value passes it unchanged, and one that does not
+    changes only the run's first element, so an insertion costs O(runs),
+    not O(k): 1000 copies of Z/2 make one run.
+    """
+    runs: list = []  # [value, count], top of the chain first
+    for x in orders:
+        new: list = []
+        for c, n in runs:
+            if c % x:
+                g = gcd(c, x)
+                _push_run(new, c // g * x, 1)
+                if n > 1:
+                    _push_run(new, c, n - 1)
+                x = g
+            else:
+                _push_run(new, c, n)
+        if x > 1:
+            _push_run(new, x, 1)
+        runs = new
+    return tuple(c for c, n in reversed(runs) for _ in range(n))
 
 
 @dataclass(frozen=True)
@@ -88,17 +127,16 @@ class FGAbelianGroup:
     def from_invariants(cls, rank: int, factors=()) -> "FGAbelianGroup":
         """Canonicalize arbitrary cyclic factor orders into a chain.
 
-        Only the k x k torsion block goes through Smith normal form; the
-        free rank passes through unchanged.
+        The torsion chain comes from a gcd/lcm sweep over the orders
+        (_invariant_chain), with no matrix; the free rank passes through
+        unchanged.
         """
         factors = [int(d) for d in factors]
         if any(d < 1 for d in factors):
             raise ValueError("cyclic factor orders must be positive")
         k = len(factors)
         check_size(f"group of rank {rank} with {k} cyclic factors", rank + k)
-        rel = [[d if i == j else 0 for j in range(k)]
-               for i, d in enumerate(factors)]
-        return cls(rank, cls.from_presentation(k, rel).torsion)
+        return cls(rank, _invariant_chain(factors))
 
     @classmethod
     def free(cls, rank: int) -> "FGAbelianGroup":
@@ -453,10 +491,16 @@ def _entry_candidates(d_src: int, e_tgt: int, bound: int) -> list[int]:
     return [r for run in _entry_ranges(d_src, e_tgt, bound) for r in run]
 
 
-def _hom_count(src: FGAbelianGroup, tgt: FGAbelianGroup, bound: int) -> int:
-    """Number of candidate matrices, counted without listing any."""
-    return prod(sum(len(run) for run in _entry_ranges(d, e, bound))
-                for e in tgt.gen_orders for d in src.gen_orders)
+def _cell_counts(src: FGAbelianGroup, tgt: FGAbelianGroup, bound: int):
+    """Candidate count of each matrix cell, row by row.
+
+    Counted by arithmetic on the ranges: ``len`` of a range fails past
+    sys.maxsize.
+    """
+    for e in tgt.gen_orders:
+        for d in src.gen_orders:
+            yield sum(max(0, (run.stop - run.start + run.step - 1) // run.step)
+                      for run in _entry_ranges(d, e, bound))
 
 
 def _hom_candidates(src: FGAbelianGroup, tgt: FGAbelianGroup, bound: int):
@@ -471,67 +515,135 @@ def _hom_candidates(src: FGAbelianGroup, tgt: FGAbelianGroup, bound: int):
         yield tuple(flat[i * ns:(i + 1) * ns] for i in range(tgt.n_gens))
 
 
+def _term_choices(seq: Sequence):
+    """Each choice of the unknown terms, as a tuple of concrete terms."""
+    slots = [i for i, t in enumerate(seq.terms) if isinstance(t, UnknownGroup)]
+    for combo in itertools.product(*(seq.terms[i].candidates for i in slots)):
+        terms = list(seq.terms)
+        for slot, grp in zip(slots, combo):
+            terms[slot] = grp
+        yield tuple(terms)
+
+
+def _search_space(seq: Sequence, bound: int, ceiling: int) -> int:
+    """Assignments before pruning, summed over the term choices.
+
+    With bound >= 0 every cell admits 0, so partial counts only grow, and
+    the count stops as soon as one passes ``ceiling``: it is exact up to
+    the ceiling and a lower bound above it, so a huge search space costs
+    no huge product.
+    """
+    total = 0
+    for terms in _term_choices(seq):
+        subtotal = 1
+        for i, m in enumerate(seq.maps):
+            if isinstance(m, UnknownMap):
+                for count in _cell_counts(terms[i], terms[i + 1], bound):
+                    subtotal *= count
+                    if total + subtotal > ceiling:
+                        return total + subtotal
+        total += subtotal
+        if total > ceiling:
+            return total
+    return total
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, or a power of two below it when n is too long to print
+    under the interpreter's integer string limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"2^{n.bit_length() - 1}"
+
+
+def _exact_picks(terms, candidates, exact_at):
+    """Candidate indices of the maps, one tuple per exact assignment, in
+    lexicographic order.
+
+    Depth-first over the maps from left to right: once map k is fixed,
+    exactness at term k is tested on maps k - 1 and k, and a failure prunes
+    every extension.  Each test is memoized by (k, index of map k - 1,
+    index of map k): one entry per pair of adjacent candidates at most, so
+    no more than the marked positions times the assignments counted for
+    the ceiling.
+    """
+    memo = {}
+    last = len(candidates) - 1
+    picks = [-1] * len(candidates)
+    k = 0
+    while k >= 0:
+        picks[k] += 1
+        if picks[k] == len(candidates[k]):
+            picks[k] = -1
+            k -= 1
+            continue
+        if k in exact_at:
+            key = (k, picks[k - 1], picks[k])
+            ok = memo.get(key)
+            if ok is None:
+                f, g = candidates[k - 1][key[1]], candidates[k][key[2]]
+                ok = memo[key] = check_exact(
+                    Sequence(terms[k - 1:k + 2], (f, g)), 1)
+            if not ok:
+                continue
+        if k == last:
+            yield tuple(picks)
+        else:
+            k += 1
+
+
 def solve_exact(seq: Sequence, bound: int,
                 max_assignments: int = 2_000_000) -> list[Sequence]:
     """All completions of the unknown slots exact at every marked position.
 
     Unknown terms range over their candidate lists; unknown maps range over
     matrices with free-generator image coordinates of absolute value at most
-    ``bound`` (torsion coordinates use centered representatives).  The total
-    assignment count is computed up front and a SearchSpaceError raised if it
-    exceeds ``max_assignments``; results come in deterministic order.
-    """
-    term_slots = [i for i, t in enumerate(seq.terms)
-                  if isinstance(t, UnknownGroup)]
-    term_choices = [seq.terms[i].candidates for i in term_slots]
+    ``bound`` (torsion coordinates use centered representatives).  The
+    assignments, before any pruning, are counted up front and a
+    SearchSpaceError raised if they exceed ``max_assignments``; the count
+    stops at the first partial sum past the ceiling.  A negative ``bound``
+    raises ValueError.
 
-    total = 0
-    for combo in itertools.product(*term_choices):
-        terms = list(seq.terms)
-        for slot, grp in zip(term_slots, combo):
-            terms[slot] = grp
-        subtotal = 1
-        for i, m in enumerate(seq.maps):
-            if isinstance(m, UnknownMap):
-                subtotal *= _hom_count(terms[i], terms[i + 1], bound)
-        total += subtotal
+    For each choice of unknown terms, every map's candidate homomorphisms
+    are built once, and a choice that a fixed map's endpoints reject is
+    skipped whole.  A depth-first search then fixes map 0, map 1, ... in
+    turn and tests exactness at term k as soon as map k is fixed, pruning
+    the subtree on failure; the tests are memoized per pair of adjacent
+    candidates, and the memo is reset for each choice of terms.  Results
+    come in the order of a full product enumeration: term choices
+    outermost, then maps in lexicographic candidate order.
+
+    >>> Z = FGAbelianGroup.free(1)
+    >>> seq = Sequence((Z, Z, FGAbelianGroup.trivial()),
+    ...                (UNKNOWN_MAP, UNKNOWN_MAP), exact_at=(1,))
+    >>> [s.maps[0].matrix for s in solve_exact(seq, bound=1)]
+    [((-1,),), ((1,),)]
+    """
+    if bound < 0:
+        raise ValueError(f"solve bound {bound} is negative")
+    total = _search_space(seq, bound, max_assignments)
     if total > max_assignments:
         raise SearchSpaceError(
-            f"solve_exact search space has {total} assignments, "
-            f"exceeding the ceiling of {max_assignments}")
+            f"solve_exact search space has at least {_decimal(total)} "
+            f"assignments, exceeding the ceiling of "
+            f"{_decimal(max_assignments)}")
 
+    exact_at = set(seq.exact_at)
     results = []
-    for combo in itertools.product(*term_choices):
-        terms = list(seq.terms)
-        for slot, grp in zip(term_slots, combo):
-            terms[slot] = grp
-        map_gens = []
-        for i, m in enumerate(seq.maps):
-            if isinstance(m, UnknownMap):
-                map_gens.append(
-                    list(_hom_candidates(terms[i], terms[i + 1], bound)))
-            else:
-                map_gens.append([None])
-        for picks in itertools.product(*map_gens):
-            maps = []
-            ok = True
-            for i, pick in enumerate(picks):
-                if pick is None:
-                    maps.append(seq.maps[i])
-                    continue
-                try:
-                    maps.append(GroupHom(terms[i], terms[i + 1], pick))
-                except IllDefinedHomError:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            try:
-                candidate = Sequence(tuple(terms), tuple(maps), seq.names,
-                                     seq.exact_at)
-            except ValueError:
-                # a fixed map's endpoints reject this combination of terms
-                continue
-            if all(check_exact(candidate, pos) for pos in seq.exact_at):
-                results.append(candidate)
+    for terms in _term_choices(seq):
+        try:
+            Sequence(terms, seq.maps, seq.names, seq.exact_at)
+        except ValueError:
+            # a fixed map's endpoints reject this combination of terms
+            continue
+        # candidates are well-defined by construction (_entry_ranges)
+        candidates = [
+            [GroupHom(terms[i], terms[i + 1], mat)
+             for mat in _hom_candidates(terms[i], terms[i + 1], bound)]
+            if isinstance(m, UnknownMap) else [m]
+            for i, m in enumerate(seq.maps)]
+        for picks in _exact_picks(terms, candidates, exact_at):
+            maps = tuple(candidates[i][p] for i, p in enumerate(picks))
+            results.append(Sequence(terms, maps, seq.names, seq.exact_at))
     return results

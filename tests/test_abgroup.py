@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import solver_oracle
+from cliffk import abgroup
 from cliffk.abgroup import (
     UNKNOWN_MAP,
     FGAbelianGroup,
@@ -16,7 +18,6 @@ from cliffk.abgroup import (
     Sequence,
     UnknownGroup,
     _entry_candidates,
-    _hom_count,
     check_exact,
     cokernel,
     exactness_indices,
@@ -26,6 +27,7 @@ from cliffk.abgroup import (
     solve_exact,
 )
 from cliffk.errors import IllDefinedHomError, SearchSpaceError
+from solver_oracle import _hom_count
 
 Z = FGAbelianGroup.free(1)
 Z2 = FGAbelianGroup.free(2)
@@ -128,6 +130,24 @@ class TestFGAbelianGroup:
         assert FGAbelianGroup.from_invariants(0, (4, 2)).torsion == (2, 4)
         assert FGAbelianGroup.from_invariants(0, (1, 5)) == cyclic(5)
         assert FGAbelianGroup.from_invariants(2) == Z2
+
+    def test_invariant_chain_matches_snf(self):
+        # oracle: Smith normal form of the diagonal relation matrix, whose
+        # result does not depend on the order of the diagonal, so it runs
+        # once per multiset while the sweep sees every ordering
+        snf_chain = {}
+        for k in range(5):
+            for orders in itertools.product(range(1, 13), repeat=k):
+                key = tuple(sorted(orders))
+                if key not in snf_chain:
+                    _u, d, _v = smith_normal_form(
+                        [[x if i == j else 0 for j in range(k)]
+                         for i, x in enumerate(key)])
+                    snf_chain[key] = tuple(d[i][i] for i in range(k)
+                                           if d[i][i] > 1)
+                got = FGAbelianGroup.from_invariants(0, orders).torsion
+                assert got == snf_chain[key], orders
+        assert len(snf_chain) == 1820
 
     def test_chain_validation(self):
         with pytest.raises(ValueError):
@@ -515,3 +535,121 @@ class TestSolveExact:
                        (UNKNOWN_MAP, GroupHom.zero(cyclic(2), TRIV)),
                        exact_at=(1,))
         assert solve_exact(seq, bound=2) == solve_exact(seq, bound=2)
+
+
+# groups of the exhaustive comparison with the product-enumeration oracle
+CORPUS = (TRIV, Z, cyclic(2), cyclic(4), Z2,
+          FGAbelianGroup.from_invariants(1, (2,)))
+# per-instance assignment ceiling of that comparison: the oracle walks every
+# assignment, so this keeps the whole class within a few seconds
+DIFF_CEILING = 256
+
+
+@pytest.fixture
+def shared_exactness_memo(monkeypatch):
+    """check_exact memoized by its two maps, for the solver and the oracle.
+
+    check_exact is pure and has its own oracle test above; one shared memo
+    makes the exhaustive comparison fast without changing what either
+    solver decides or the order in which it searches.
+    """
+    memo = {}
+
+    def memoized(seq, at):
+        key = (seq.maps[at - 1], seq.maps[at])
+        if key not in memo:
+            memo[key] = check_exact(seq, at)
+        return memo[key]
+
+    monkeypatch.setattr(abgroup, "check_exact", memoized)
+    monkeypatch.setattr(solver_oracle, "check_exact", memoized)
+
+
+def outcome(solver, seq, bound):
+    """The ordered solution list, or SearchSpaceError when it is refused.
+
+    The messages differ: the solver stops counting past the ceiling.
+    """
+    try:
+        return solver(seq, bound, max_assignments=DIFF_CEILING)
+    except SearchSpaceError:
+        return SearchSpaceError
+
+
+def compare_with_oracle(cases) -> tuple[int, int]:
+    """Require equal outcomes; return (instances solved, solutions)."""
+    solved = solutions = 0
+    for seq, bound in cases:
+        want = outcome(solver_oracle.solve_exact, seq, bound)
+        assert outcome(solve_exact, seq, bound) == want, (seq, bound)
+        if isinstance(want, list):
+            solved += 1
+            solutions += len(want)
+    return solved, solutions
+
+
+def all_unknown(terms, exact_at=None) -> Sequence:
+    if exact_at is None:
+        exact_at = tuple(range(1, len(terms) - 1))
+    return Sequence(tuple(terms), (UNKNOWN_MAP,) * (len(terms) - 1),
+                    exact_at=exact_at)
+
+
+@pytest.mark.usefixtures("shared_exactness_memo")
+class TestSolveAgainstOracle:
+    """solve_exact returns the oracle's solutions in the oracle's order."""
+
+    def test_every_short_sequence(self):
+        cases = [(all_unknown(terms), bound)
+                 for length in (3, 4)
+                 for terms in itertools.product(CORPUS, repeat=length)
+                 for bound in (1, 2)]
+        solved, solutions = compare_with_oracle(cases)
+        # 2565 of the 3024 instances fit under the ceiling
+        assert solved == 2565 and solutions > 1000
+
+    def test_partial_exactness(self):
+        cases = [(all_unknown(terms, exact_at), bound)
+                 for terms in itertools.product(CORPUS[:4], repeat=4)
+                 for exact_at in ((), (1,), (2,))
+                 for bound in (1, 2)]
+        solved, solutions = compare_with_oracle(cases)
+        assert solved == len(cases) and solutions > 1000
+
+    def test_unknown_terms(self):
+        some = UnknownGroup((TRIV, Z, cyclic(2), cyclic(4)))
+        few = UnknownGroup((Z, cyclic(2)))
+        cases = []
+        for a, b in itertools.product(CORPUS, repeat=2):
+            for bound in (1, 2):
+                cases += [(all_unknown((a, some, b)), bound),
+                          (all_unknown((some, a, b)), bound),
+                          (all_unknown((a, some, few, b)), bound),
+                          (all_unknown((few, a, b, some), (2,)), bound)]
+        solved, solutions = compare_with_oracle(cases)
+        assert solved > len(cases) // 2 and solutions > 1000
+
+    def test_fixed_maps_reject_term_choices(self):
+        choices = UnknownGroup(CORPUS[:4])
+        fixed = [GroupHom.identity(Z), GroupHom(Z, cyclic(2), ((1,),)),
+                 GroupHom(cyclic(4), cyclic(2), ((1,),)),
+                 GroupHom.zero(cyclic(2), TRIV), GroupHom.zero(TRIV, Z2)]
+        cases = []
+        for f in fixed:
+            for pos in range(3):
+                for other in CORPUS:
+                    terms = [other] * 4
+                    terms[pos], terms[pos + 1] = choices, choices
+                    maps = [UNKNOWN_MAP] * 3
+                    maps[pos] = f
+                    seq = Sequence(tuple(terms), tuple(maps), exact_at=(1, 2))
+                    cases += [(seq, 1), (seq, 2)]
+        solved, solutions = compare_with_oracle(cases)
+        assert solved > len(cases) // 2 and solutions > 50
+
+    def test_five_term_case(self):
+        seq = all_unknown((Z, Z2, Z2, FGAbelianGroup.from_invariants(0, (2, 2)),
+                           TRIV))
+        # 40000 assignments at bound 1, past DIFF_CEILING, all inexact
+        assert solve_exact(seq, bound=1) == solver_oracle.solve_exact(
+            seq, bound=1) == []

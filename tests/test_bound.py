@@ -10,7 +10,8 @@ import time
 import pytest
 
 import cliffk
-from cliffk import blades, errors, reps, structure
+from cliffk import _kernel_py, blades, errors, reps, structure
+from cliffk.abgroup import smith_normal_form
 from cliffk.blades import Signature, center_basis
 from cliffk.errors import MAX_CELLS, BoundExceededError
 from cliffk.ktheory import KTheory, point_k, reduced_k_rpn
@@ -86,6 +87,10 @@ SITES = {
                 lambda: point_k(31, KTheory.KO)),
     "reduced_k_rpn": (reps, "build_rep", lambda: reduced_k_rpn(30, KTheory.KU),
                       lambda: reduced_k_rpn(31, KTheory.KU)),
+    # transforms of 1 + 1023**2 and 1 + 1024**2 entries
+    "smith_normal_form": (_kernel_py, "Smith normal form",
+                          lambda: smith_normal_form([[1] * 1023]),
+                          lambda: smith_normal_form([[1] * 1024])),
 }
 
 

@@ -2,10 +2,13 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from cliffk.cli import main
+
+SEQUENCES = Path(__file__).resolve().parent.parent / "sequences"
 
 TEMPLATE = """\
 term KU0 = Z
@@ -231,6 +234,16 @@ class TestSeqSolve:
         assert code == 2
         assert "solve bound" in err
 
+    def test_shipped_five_term_case(self, capsys):
+        # 250000 assignments, 240 exact; a full product walk takes ~16 s
+        start = time.perf_counter()
+        code, out, _err = run(capsys, "seq", str(SEQUENCES / "five_term.seq"))
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "solve bound = 2: 240 solutions"
+        assert len(lines) == 241
+
     def test_search_space_error(self, capsys, tmp_path):
         text = ("term A = Z^4\nterm B = Z^4\n"
                 "map f : A -> B = unknown\nsolve bound = 2\n")
@@ -309,6 +322,34 @@ class TestSizeBound:
         assert time.perf_counter() - start < 1
         assert code == 0
         assert out == "exact at all checked positions\n"
+
+    def test_thousand_cyclic_summands(self, capsys, tmp_path):
+        path = tmp_path / "torsion.seq"
+        path.write_text("term A = " + " + ".join(["Z/2"] * 1000) + "\n"
+                        "term B = 0\nmap f : A -> B = [[0]]\n")
+        start = time.perf_counter()
+        code, out, _err = run(capsys, "seq", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out == "exact at all checked positions\n"
+
+    @pytest.mark.parametrize("rank,expect", [(2000, 2), (1000, 0)])
+    def test_smith_normal_form_bound(self, capsys, tmp_path, rank, expect):
+        # checking exactness at B runs SNF on the 1 x rank matrix of f, with
+        # rank**2 + 1 transform entries: 1000 fits MAX_CELLS, 2000 does not
+        row = [1] + [0] * (rank - 1)
+        path = tmp_path / "wide_map.seq"
+        path.write_text(f"term A = Z^{rank}\nterm B = Z\nterm C = 0\n"
+                        f"map f : A -> B = [{row}]\n"
+                        "map g : B -> C = [[0]]\ncheck exact at B\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "seq", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == expect
+        if expect:
+            assert err.startswith(f"error: Smith normal form of a 1 x {rank} ")
+        else:
+            assert out.startswith("exact at B\n")
 
     def test_group_literal_over_bound(self, capsys, tmp_path):
         path = tmp_path / "huge.seq"
