@@ -1,11 +1,12 @@
 """Exact Clifford-algebra structure theory and point-level K computations.
 
 The layers, bottom up: exact scalars and blade arithmetic, signature
-classification into matrix algebras over R, C, H, explicit minimal
-representations with restriction multiplicities, finitely generated
-abelian groups with an exact-sequence solver, and the K-theory tables
-built on all of it.  The integer linear algebra runs in one pure-Python
-kernel module, cliffk._kernel_py.
+classification into matrix algebras over R, C, H with restriction
+multiplicities read off it, explicit minimal representations that check
+the classification, finitely generated abelian groups with an
+exact-sequence solver, and the K-theory tables built on the
+classification and the group layer.  The integer linear algebra runs in
+one pure-Python kernel module, cliffk._kernel_py.
 """
 
 from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
@@ -17,21 +18,22 @@ from .blades import (CliffordElement, Signature, TensorElement, blade_grade,
                      tensor_mul, top_element)
 from .errors import (MAX_CELLS, BoundExceededError, CliffkError,
                      EmbeddingError, IllDefinedHomError, InvalidBladeError,
-                     InvalidSignatureError, SearchSpaceError,
-                     SequenceParseError, SignatureMismatchError)
+                     InvalidGroupError, InvalidSignatureError,
+                     SearchSpaceError, SequenceParseError,
+                     SignatureMismatchError)
 from .ktheory import (FiberTwistReport, ForgetfulFunctor, KTheory, RelativeK,
                       ThomStabilityReport, adams_f, bott_sequence_instance,
                       fiber_twist_check, forgetful_k_map, k0, point_k,
                       reduced_k_rpn, relative_k, sequence_E_point_instance,
                       thom_stability)
 from .reps import (MatrixRep, UnitPermMatrix, build_rep, check_relations,
-                   irrep_end_dim, restriction_multiplicities,
                    untwist_split_check, verify_classification,
                    verify_periodicity_iso)
 from .scalars import GaussianRational, ScalarField
 from .seqfile import SequenceFile, parse_sequence_file
 from .structure import (AlgebraDescriptor, DivisionRing, classify, irrep_dims,
-                        min_faithful_dim, periodicity_shapes)
+                        irrep_end_dim, min_faithful_dim, periodicity_shapes,
+                        restriction_multiplicities)
 
 __version__ = "0.1.0"
 
@@ -42,7 +44,8 @@ __all__ = [
     "AlgebraDescriptor", "BACKEND", "BoundExceededError", "CliffkError",
     "CliffordElement", "DivisionRing", "EmbeddingError", "FGAbelianGroup",
     "FiberTwistReport", "ForgetfulFunctor", "GaussianRational", "GroupHom",
-    "IllDefinedHomError", "InvalidBladeError", "InvalidSignatureError",
+    "IllDefinedHomError", "InvalidBladeError", "InvalidGroupError",
+    "InvalidSignatureError",
     "KTheory", "MAX_CELLS", "MatrixRep", "RelativeK", "ScalarField",
     "Sequence", "SequenceFile", "SequenceParseError", "SearchSpaceError",
     "Signature", "SignatureMismatchError", "TensorElement",

@@ -1,8 +1,9 @@
 """Pure-Python compute kernels.
 
-These are the hot inner loops of the package: basis-blade products, exact
-sparse integer elimination, and Smith normal form with transform
-accumulation.  blades, reps and abgroup import this module as their kernel.
+These are the hot inner loops of the package: basis-blade products, the
+rank of a sparse integer system by fraction-free elimination, and Smith
+normal form with transform accumulation.  blades, reps and abgroup import
+this module as their kernel.
 
 All arithmetic is exact.  Matrix entries and row values are Python ints
 (arbitrary precision); blade coefficients are whatever exact ring elements the
@@ -11,7 +12,6 @@ caller supplies.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import check_size
@@ -119,49 +119,9 @@ def _echelonize(rows) -> dict:
     return pivots
 
 
-def sparse_rank(rows, ncols: int | None = None) -> int:
+def sparse_rank(rows) -> int:
     """Rank of a sparse integer matrix given as an iterable of row maps."""
     return len(_echelonize(rows))
-
-
-def sparse_nullspace(rows, ncols: int) -> list[dict]:
-    """Primitive integer basis of the right nullspace of a sparse matrix.
-
-    One basis vector per non-pivot column, in ascending column order; each is
-    a {column: int} map scaled to content 1 with positive entry at its free
-    column.  Deterministic for a fixed row order.
-    """
-    pivots = _echelonize(rows)
-    order = sorted(pivots, reverse=True)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v: dict = {f: Fraction(1)}
-        for c in order:
-            pr = pivots[c]
-            s = Fraction(0)
-            for k, val in pr.items():
-                if k != c and k in v:
-                    s += val * v[k]
-            if s:
-                v[c] = -s / pr[c]
-        den = 1
-        for x in v.values():
-            d = x.denominator
-            den = den // gcd(den, d) * d
-        w = {}
-        g = 0
-        for k, x in v.items():
-            n = int(x * den)
-            if n:
-                w[k] = n
-                g = gcd(g, n)
-        if g > 1:
-            for k in w:
-                w[k] //= g
-        basis.append(w)
-    return basis
 
 
 def _row_sub(M: list, i: int, t: int, q: int) -> None:

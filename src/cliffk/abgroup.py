@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from . import _kernel_py as _kernel
-from .errors import IllDefinedHomError, SearchSpaceError, check_size
+from .errors import (IllDefinedHomError, InvalidGroupError, SearchSpaceError,
+                     check_size)
 
 
 def smith_normal_form(mat) -> tuple[list, list, list]:
@@ -101,23 +102,30 @@ class FGAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError(f"negative rank {self.rank}")
+        if not isinstance(self.rank, int) or self.rank < 0:
+            raise InvalidGroupError(f"rank {self.rank!r} is not a "
+                                    "non-negative integer")
         object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
         for d in self.torsion:
             if d < 2:
-                raise ValueError(f"invariant factor {d} < 2")
+                raise InvalidGroupError(f"invariant factor {d} < 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
-                raise ValueError(f"invariant factors {a}, {b} break the chain")
+                raise InvalidGroupError(
+                    f"invariant factors {a}, {b} break the chain")
 
     @classmethod
     def from_presentation(cls, n_gens: int, relations) -> "FGAbelianGroup":
         """Z^n_gens modulo the columns of the relation matrix (n_gens rows)."""
         rel = [list(r) for r in relations]
         if len(rel) != n_gens:
-            raise ValueError("relation matrix must have one row per generator")
+            raise InvalidGroupError(
+                "relation matrix must have one row per generator")
         ncols = len(rel[0]) if rel else 0
+        if any(len(row) != ncols or not all(isinstance(v, int) for v in row)
+               for row in rel):
+            raise InvalidGroupError(
+                "relation matrix must be rectangular, with integer entries")
         _u, d, _v = _kernel.snf(rel, n_gens, ncols)
         diag = [d[i][i] for i in range(min(n_gens, ncols))]
         nonzero = [x for x in diag if x]
@@ -131,9 +139,10 @@ class FGAbelianGroup:
         (_invariant_chain), with no matrix; the free rank passes through
         unchanged.
         """
-        factors = [int(d) for d in factors]
-        if any(d < 1 for d in factors):
-            raise ValueError("cyclic factor orders must be positive")
+        factors = list(factors)
+        if any(not isinstance(d, int) or d < 1 for d in factors):
+            raise InvalidGroupError(
+                "cyclic factor orders must be positive integers")
         k = len(factors)
         check_size(f"group of rank {rank} with {k} cyclic factors", rank + k)
         return cls(rank, _invariant_chain(factors))
@@ -220,6 +229,8 @@ class GroupHom:
         if len(mat) != nt or any(len(row) != ns for row in mat):
             raise IllDefinedHomError(
                 f"matrix must be {nt} x {ns} for {self.target} <- {self.source}")
+        if not all(isinstance(v, int) for row in mat for v in row):
+            raise IllDefinedHomError("matrix entries must be integers")
         t_orders = self.target.gen_orders
         for i, e in enumerate(t_orders):
             if e:

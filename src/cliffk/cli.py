@@ -3,13 +3,16 @@
 Subcommands map one-to-one onto library calls; every command honors
 --format text|json (accepted both before and after the subcommand, the
 subcommand's value winning).  Exit codes: 0 success or all checks passing,
-1 a computed check failing, 2 usage, parse, or search-space errors.
+1 a computed check failing, 2 usage, parse, or search-space errors, and
+141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
+when the reader closes stdout early, as ``| head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .abgroup import (UnknownGroup, UnknownMap, check_exact,
@@ -249,4 +252,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at /dev/null so the flush at
+        # interpreter exit does not fail on the rest of the buffer
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

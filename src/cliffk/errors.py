@@ -34,8 +34,14 @@ class EmbeddingError(CliffkError, ValueError):
     """The claimed subalgebra signature does not embed in the ambient one."""
 
 
+class InvalidGroupError(CliffkError, ValueError):
+    """A group with a negative rank, a cyclic order below 1, a broken
+    invariant chain, or a malformed presentation."""
+
+
 class IllDefinedHomError(CliffkError, ValueError):
-    """A homomorphism matrix that does not respect the source relations."""
+    """A homomorphism matrix of the wrong shape, with an entry that is not
+    an integer, or that does not respect the source relations."""
 
 
 class SearchSpaceError(CliffkError, ValueError):

@@ -4,8 +4,13 @@ Everything here reduces to one mechanism: the K0 group of C^{p,q} is free
 on its simple factors, an algebra inclusion induces the restriction
 multiplicity matrix on K0, and the interesting groups are kernels and
 cokernels of those integer maps.  Degree towers use the signature ladders
-(i,0) over (i-1,0); periodicity is never assumed, it falls out of the
-computed tables and is checked by recomputation.
+(i,0) over (i-1,0).  The multiplicities are read off the classification
+table of cliffk.structure in closed form; no representation is built here.
+So the 8- and 2-fold periodicity of the tables comes from the
+classification table, and acceptance criterion 1 checks that table against
+explicit representations (cliffk.reps.verify_classification).  Periodicity
+is not assumed: it falls out of the computed tables and is checked by
+recomputation.
 """
 
 from __future__ import annotations
@@ -19,9 +24,8 @@ from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
                       cokernel, kernel)
 from .blades import Signature
 from .errors import EmbeddingError
-from .reps import restriction_multiplicities
 from .scalars import ScalarField
-from .structure import classify
+from .structure import classify, restriction_multiplicities
 
 
 class KTheory(Enum):

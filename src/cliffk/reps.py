@@ -1,10 +1,11 @@
 """Explicit faithful matrix representations of Clifford algebras.
 
 Every representation built here uses monomial matrices whose entries are
-fourth roots of unity, so products and traces stay exact and sparse.
-Restriction multiplicities and endomorphism dimensions are character
-pairings over the central blades, read off those traces.  The construction
-is a fixed recursion producing a minimal faithful module in every signature:
+fourth roots of unity, so products and traces stay exact and sparse.  They
+are the evidence for the classification table: verify_classification checks
+each table entry against a built module.  The K-theory path reads the table
+alone and builds none of them.  The construction is a fixed recursion
+producing a minimal faithful module in every signature:
 
 * mixed signature: (p, q) doubles (p-1, q-1), sending an old generator g to
   diag(g, -g) and adjoining [[0, -I], [I, 0]] (negative square) and
@@ -30,13 +31,11 @@ from functools import lru_cache
 
 from . import _kernel_py as kernel
 from .blades import CliffordElement, Signature, TensorElement
-from .errors import (BoundExceededError, EmbeddingError,
-                     InvalidSignatureError, check_size)
+from .errors import BoundExceededError, InvalidSignatureError, check_size
 from .scalars import ScalarField
 from .structure import classify, min_faithful_dim
 
 _REAL = ScalarField.REAL
-_COMPLEX = ScalarField.COMPLEX
 
 
 class UnitPermMatrix:
@@ -303,169 +302,6 @@ def check_relations(rep: MatrixRep) -> bool:
     return True
 
 
-def _central_involution(rep: MatrixRep) -> UnitPermMatrix:
-    """The volume element, unit-scaled if needed so that it squares to +I.
-
-    Only meaningful for two-factor algebras, where it separates the two
-    simple summands by its +-1 eigenvalue.
-    """
-    m = UnitPermMatrix.identity(rep.dim)
-    for g in rep.gens:
-        m = m @ g
-    sq = m @ m
-    ident = UnitPermMatrix.identity(rep.dim)
-    if sq == ident:
-        return m
-    if sq == -ident:
-        if rep.field is _COMPLEX:
-            return m.mul_unit(1)
-        raise AssertionError("volume element of a real two-factor algebra "
-                             "must square to +I")
-    raise AssertionError("volume element square is not central +-I")
-
-
-def _factor_labels(desc) -> tuple:
-    return (1, -1) if desc.factors == 2 else (None,)
-
-
-def _assert_minimal_faithful(rep: MatrixRep) -> None:
-    desc = classify(rep.sig, rep.field)
-    expected = min_faithful_dim(rep.sig, rep.field)
-    if rep.dim != expected:
-        raise AssertionError(
-            f"representation of {rep.sig} has dimension {rep.dim}, "
-            f"expected {expected}")
-    if desc.factors == 2:
-        # one copy of each simple summand makes the central involution
-        # traceless; two copies of the same summand would give trace -+dim
-        if _trace(_central_involution(rep)) != (0, 0):
-            raise AssertionError(
-                f"representation of {rep.sig} is not one-of-each on the "
-                f"two simple summands")
-
-
-def _trace(m: UnitPermMatrix) -> tuple[int, int]:
-    """Trace as a Gaussian integer (re, im)."""
-    t1, ti, tm1, tmi = m.trace_quadruple()
-    return t1 - tm1, ti - tmi
-
-
-def _summand_characters(rep: MatrixRep, gens) -> dict:
-    """Doubled characters of the simple summands at the central blades.
-
-    ``gens`` are the images in ``rep`` of the generators of a subalgebra (all
-    of ``rep.gens`` for the algebra itself).  Its central blades are 1 and,
-    for an odd number of generators, their product.  For each summand label
-    (see _factor_labels) the value at a central blade x is the Gaussian
-    integer 2 tr(x (1 + label c)/2) = tr(x) + label tr(x c), with c the
-    central involution of ``rep``'s own algebra (the identity, label 1, when
-    that algebra is simple).  The projectors commute with every generator.
-    """
-    ident = UnitPermMatrix.identity(rep.dim)
-    blades = [ident]
-    if len(gens) % 2:
-        vol = ident
-        for g in gens:
-            vol = vol @ g
-        blades.append(vol)
-    desc = classify(rep.sig, rep.field)
-    c = _central_involution(rep) if desc.factors == 2 else ident
-    traces = [(_trace(x), _trace(x @ c)) for x in blades]
-    return {label: [(re + (label or 1) * cre, im + (label or 1) * cim)
-                    for (re, im), (cre, cim) in traces]
-            for label in _factor_labels(desc)}
-
-
-def _pairing(chi_s, chi_b, n_small: int) -> int:
-    """dim Hom(S, B) over the scalar field, from doubled central characters.
-
-    Modules of an n-generator Clifford algebra are the representations of
-    the finite group {+-e_A} in which -1 acts as -1, so dim Hom(S, B) is
-    2**-n times the sum over all blades of conj(chi_S) chi_B.  A blade that
-    is not central anticommutes with some generator g, which commutes with
-    the summand projectors, so its character is zero (conjugate by g).  Only
-    the central blades remain, and the doubling adds a factor 4.  Over R the
-    complexified characters give the real dimension.
-    """
-    re = im = 0
-    for (a, b), (c, d) in zip(chi_s, chi_b):
-        re += a * c + b * d
-        im += a * d - b * c
-    hom, rem = divmod(re, 4 << n_small)
-    if im or rem:
-        raise AssertionError(
-            f"character pairing {re}{im:+}i is not a multiple of "
-            f"{4 << n_small}")
-    return hom
-
-
-def _embedding_indices(big: Signature, small: Signature) -> tuple[int, ...]:
-    if not big.contains(small):
-        raise EmbeddingError(f"{small} does not embed in {big}")
-    return tuple(range(small.p)) + tuple(big.p + t for t in range(small.q))
-
-
-@lru_cache(maxsize=None)
-def restriction_multiplicities(big: Signature, small: Signature,
-                               field: ScalarField = _REAL
-                               ) -> tuple[tuple[int, ...], ...]:
-    """Multiplicity of each simple summand of the big algebra over the small.
-
-    Restricting along the generator-segment embedding of C^{small} into
-    C^{big}, entry [s][b] is the multiplicity of the small algebra's simple
-    module s inside the restriction of the big algebra's simple module b.
-    Computed as dim Hom(S, B|small) / dim End(S), each an exact character
-    pairing over the central blades of the small algebra (1, and the volume
-    element when it has an odd number of generators), with the summands cut
-    out by the central involutions.  The tests check it against explicit
-    intertwiner solves.  The size bound is build_rep's.
-
-    >>> from cliffk.blades import Signature
-    >>> restriction_multiplicities(Signature(1, 0), Signature(0, 0))
-    ((2,),)
-    >>> restriction_multiplicities(Signature(3, 0), Signature(2, 0))
-    ((1, 1),)
-    """
-    emb_idx = _embedding_indices(big, small)
-    rep_b = build_rep(big, field)
-    rep_s = build_rep(small, field)
-    _assert_minimal_faithful(rep_b)
-    _assert_minimal_faithful(rep_s)
-    chi_b = _summand_characters(rep_b, [rep_b.gens[t] for t in emb_idx])
-    chi_s = _summand_characters(rep_s, rep_s.gens)
-    rows = []
-    for xs in chi_s.values():
-        end_dim = _pairing(xs, xs, small.n)
-        row = []
-        for xb in chi_b.values():
-            hom = _pairing(xs, xb, small.n)
-            mult, rem = divmod(hom, end_dim)
-            if rem:
-                raise AssertionError(
-                    f"dim Hom {hom} over {small} in {big} ({field}) is not "
-                    f"a multiple of dim End {end_dim}")
-            row.append(mult)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def irrep_end_dim(sig: Signature, field: ScalarField = _REAL,
-                  label=None) -> int:
-    """dim over the scalar field of End of one simple module, as <chi, chi>.
-
-    ``label`` picks the summand (+1 or -1) for two-factor algebras.  This is
-    the character pairing restriction_multiplicities divides by; the tests
-    check it against the division-ring table of cliffk.structure.
-    """
-    desc = classify(sig, field)
-    if desc.factors == 2 and label not in (1, -1):
-        raise ValueError("two-factor algebra needs a +-1 summand label")
-    rep = build_rep(sig, field)
-    chi = _summand_characters(rep, rep.gens)[
-        label if desc.factors == 2 else None]
-    return _pairing(chi, chi, sig.n)
-
-
 def verify_classification(sig: Signature, field: ScalarField = _REAL,
                           max_total: int | None = None) -> bool:
     """Check the classification table against the explicit representation.
@@ -496,7 +332,7 @@ def verify_classification(sig: Signature, field: ScalarField = _REAL,
             for j, a in enumerate(m.rows):
                 row[a * d + j] = 1 if m.codes[j] == 0 else -1
             rows.append(row)
-        return kernel.sparse_rank(rows, d * d) == sig.dim
+        return kernel.sparse_rank(rows) == sig.dim
     # complex: realify the C-span of the blade images; including the i-scaled
     # copies makes the real rank exactly twice the complex dimension
     rows = []
@@ -508,7 +344,7 @@ def verify_classification(sig: Signature, field: ScalarField = _REAL,
                 part, v = unit_part[(m.codes[j] + shift) & 3]
                 row[2 * (a * d + j) + part] = v
             rows.append(row)
-    return kernel.sparse_rank(rows, 2 * d * d) == 2 * sig.dim
+    return kernel.sparse_rank(rows) == 2 * sig.dim
 
 
 def verify_periodicity_iso(m: int) -> bool:
@@ -551,7 +387,7 @@ def verify_periodicity_iso(m: int) -> bool:
         for (ml, mr), coeff in img.terms.items():
             row[ml * 4 + mr] = int(coeff)
         rows.append(row)
-    return kernel.sparse_rank(rows, left.dim * 4) == total
+    return kernel.sparse_rank(rows) == total
 
 
 def _crossed_mul(t1, t2, n: int):
@@ -583,7 +419,6 @@ def untwist_split_check(n: int) -> bool:
         raise InvalidSignatureError(f"negative reflected-direction count {n}")
     check_size(f"untwist_split_check({n})", (n + 2) << (n + 2))
     nblades = 1 << (n + 1)
-    total = 2 * nblades
 
     def key(term):
         mask, e = term
@@ -608,7 +443,7 @@ def untwist_split_check(n: int) -> bool:
                 x = (mask, e)
                 s, t = _crossed_mul(x, z, n)
                 rows.append({key(x): 1, key(t): eps * s})
-        if kernel.sparse_rank(rows, total) != nblades:
+        if kernel.sparse_rank(rows) != nblades:
             return False
         # restriction of the corner projection to the eta-free subalgebra
         # is injective, hence an algebra isomorphism onto the corner
@@ -617,6 +452,6 @@ def untwist_split_check(n: int) -> bool:
             x = (mask, 0)
             s, t = _crossed_mul(x, z, n)
             sub_rows.append({key(x): 1, key(t): eps * s})
-        if kernel.sparse_rank(sub_rows, total) != nblades:
+        if kernel.sparse_rank(sub_rows) != nblades:
             return False
     return True

@@ -4,7 +4,9 @@ Over the reals the Morita type of C^{p,q} depends only on (p - q) mod 8; over
 the complex numbers only on (p + q) mod 2.  The matrix size is then pinned
 down by the dimension identity factors * k**2 * dim(D) = dim C^{p,q}.  The
 table below is the classical eightfold one; it is validated against explicit
-representations in cliffk.reps, not assumed there.
+representations in cliffk.reps, not assumed there.  The module dimensions
+of the table also give the restriction multiplicities along subalgebra
+inclusions, in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .blades import Signature
-from .errors import BoundExceededError, InvalidSignatureError
+from .errors import BoundExceededError, EmbeddingError, InvalidSignatureError
 from .scalars import ScalarField
 
 
@@ -140,6 +142,63 @@ def irrep_dims(sig: Signature, field: ScalarField = ScalarField.REAL) -> tuple[i
     else:
         entry = desc.matrix_size
     return (entry,) * desc.factors
+
+
+def restriction_multiplicities(big: Signature, small: Signature,
+                               field: ScalarField = ScalarField.REAL
+                               ) -> tuple[tuple[int, ...], ...]:
+    """Multiplicity of each simple summand of the big algebra over the small.
+
+    Restricting along the generator-segment embedding of C^{small} into
+    C^{big}, entry [s][b] is the multiplicity of the small algebra's simple
+    module s inside the restriction of the big algebra's simple module b.
+
+    It is dim Hom(S, B) / dim End(S), and for a proper inclusion
+    dim Hom(S, B) = dim S * dim B / 2**n_small (Atiyah-Bott-Shapiro,
+    "Clifford modules", section 5).  Pair the characters of the group
+    {+-e_A} of the small algebra: a blade that is not central anticommutes
+    with a small generator, and for n_small odd the volume element
+    anticommutes with any big generator outside the small algebra, so on
+    each big simple module only the blade 1 has non-zero trace.  With
+    2**n_small = f * k**2 * dim D this gives dim B / (f * dim S), where f is
+    the number of simple factors of the small algebra.  The inclusion of an
+    algebra in itself gives the identity matrix.  The tests check this
+    against character pairings and intertwiner solves on explicit
+    representations.  The only bound is classify's.
+
+    >>> restriction_multiplicities(Signature(1, 0), Signature(0, 0))
+    ((2,),)
+    >>> restriction_multiplicities(Signature(3, 0), Signature(2, 0))
+    ((1, 1),)
+    """
+    if not big.contains(small):
+        raise EmbeddingError(f"{small} does not embed in {big}")
+    dims_b = irrep_dims(big, field)
+    dims_s = irrep_dims(small, field)
+    if big == small:
+        return tuple(tuple(int(s == b) for b in range(len(dims_b)))
+                     for s in range(len(dims_s)))
+    # the simple modules of one algebra all have the same dimension
+    mult, rem = divmod(dims_b[0], len(dims_s) * dims_s[0])
+    if rem:
+        raise AssertionError(
+            f"simple module of dimension {dims_b[0]} of {big} ({field}) does "
+            f"not restrict to copies of {small}'s, of dimension {dims_s[0]}")
+    return ((mult,) * len(dims_b),) * len(dims_s)
+
+
+def irrep_end_dim(sig: Signature, field: ScalarField = ScalarField.REAL,
+                  label=None) -> int:
+    """dim over the scalar field of End of one simple module: dim D.
+
+    ``label`` picks the summand (+1 or -1) for two-factor algebras; both
+    summands have the same division ring.  Over C it is 1.  The tests check
+    it against character pairings and intertwiner solves.
+    """
+    desc = classify(sig, field)
+    if desc.factors == 2 and label not in (1, -1):
+        raise ValueError("two-factor algebra needs a +-1 summand label")
+    return desc.ring.dim_real if field is ScalarField.REAL else 1
 
 
 def min_faithful_dim(sig: Signature, field: ScalarField = ScalarField.REAL) -> int:

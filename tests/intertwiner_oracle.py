@@ -1,7 +1,8 @@
 """Reference restriction multiplicities by explicit intertwiner solves.
 
-The library computes restriction multiplicities and endomorphism dimensions
-by a character pairing over the central blades (cliffk.reps).  This module
+The library reads restriction multiplicities and endomorphism dimensions
+off the classification table in closed form (cliffk.structure), and
+tests/character_oracle.py computes them by character pairing.  This module
 computes the same numbers the slow, independent way: it writes the
 intertwiner equations rho_big(g) X = X rho_small(g) for every embedded
 generator as a system of two-term +-1 rows and takes its nullity with a
@@ -10,14 +11,10 @@ signed union-find.  It serves only as the oracle for the differential tests.
 
 from __future__ import annotations
 
+from character_oracle import (_central_involution, _embedding_indices,
+                              _factor_labels)
 from cliffk.blades import Signature
-from cliffk.reps import (
-    MatrixRep,
-    _central_involution,
-    _embedding_indices,
-    _factor_labels,
-    build_rep,
-)
+from cliffk.reps import MatrixRep, build_rep
 from cliffk.scalars import ScalarField
 from cliffk.structure import classify
 
@@ -188,7 +185,7 @@ def _field_nullity(nullity: int, field: ScalarField) -> int:
 def restriction_multiplicities(big: Signature, small: Signature,
                                field: ScalarField = _REAL
                                ) -> tuple[tuple[int, ...], ...]:
-    """Same contract as cliffk.reps.restriction_multiplicities, by solves."""
+    """Same contract as cliffk.structure.restriction_multiplicities, by solves."""
     emb_idx = _embedding_indices(big, small)
     rep_b = build_rep(big, field)
     rep_s = build_rep(small, field)
@@ -216,7 +213,7 @@ def restriction_multiplicities(big: Signature, small: Signature,
 
 def irrep_end_dim(sig: Signature, field: ScalarField = _REAL,
                   label=None) -> int:
-    """Same contract as cliffk.reps.irrep_end_dim, by an explicit solve."""
+    """Same contract as cliffk.structure.irrep_end_dim, by an explicit solve."""
     rep = build_rep(sig, field)
     cond = None
     if classify(sig, field).factors == 2:

@@ -3,10 +3,10 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import solver_oracle
@@ -26,7 +26,7 @@ from cliffk.abgroup import (
     smith_normal_form,
     solve_exact,
 )
-from cliffk.errors import IllDefinedHomError, SearchSpaceError
+from cliffk.errors import CliffkError, IllDefinedHomError, SearchSpaceError
 from solver_oracle import _hom_count
 
 Z = FGAbelianGroup.free(1)
@@ -226,6 +226,71 @@ class TestGroupHom:
         assert (to_mod2 @ double).is_zero
         with pytest.raises(IllDefinedHomError):
             double @ to_mod2
+
+
+class TestGroupLayerInputs:
+    """Any input to the group constructors ends in a value or a CliffkError;
+    a value is checked against the input, an error against its cause."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(rank=st.integers(-2, 4),
+           orders=st.lists(st.integers(-2, 30), max_size=5))
+    @example(rank=-1, orders=[])
+    @example(rank=0, orders=[0])
+    def test_from_invariants(self, rank, orders):
+        try:
+            group = FGAbelianGroup.from_invariants(rank, orders)
+        except CliffkError:
+            assert rank < 0 or any(d < 1 for d in orders)
+            return
+        assert group.rank == rank
+        assert prod(group.torsion) == prod(orders)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(n_gens=st.integers(0, 4),
+           relations=st.lists(st.lists(st.integers(-6, 6), max_size=4),
+                              max_size=5))
+    @example(n_gens=2, relations=[[1], [2, 3]])
+    def test_from_presentation(self, n_gens, relations):
+        try:
+            group = FGAbelianGroup.from_presentation(n_gens, relations)
+        except CliffkError:
+            assert (len(relations) != n_gens
+                    or len({len(row) for row in relations}) > 1)
+            return
+        rank = rank_over_q(relations)
+        assert group.rank == n_gens - rank
+        if relations and rank == n_gens == len(relations[0]):
+            assert group.order() == abs(det(relations))
+
+    GROUPS = st.builds(FGAbelianGroup.from_invariants, st.integers(0, 2),
+                       st.lists(st.integers(1, 6), max_size=2))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(source=GROUPS, target=GROUPS,
+           matrix=st.lists(st.lists(
+               st.one_of(st.integers(-8, 8),
+                         st.floats(-8, 8, allow_nan=False)),
+               max_size=4), max_size=4))
+    @example(source=Z, target=Z, matrix=[[1.5]])
+    def test_group_hom(self, source, target, matrix):
+        shape_ok = (len(matrix) == target.n_gens
+                    and all(len(row) == source.n_gens for row in matrix))
+        ints = all(isinstance(v, int) for row in matrix for v in row)
+        # d times a generator of order d must be 0 in the target
+        defined = shape_ok and ints and all(
+            (d * matrix[i][j] % e == 0) if e else d * matrix[i][j] == 0
+            for j, d in enumerate(source.gen_orders) if d
+            for i, e in enumerate(target.gen_orders))
+        try:
+            hom = GroupHom(source, target, tuple(map(tuple, matrix)))
+        except CliffkError:
+            assert not defined
+            return
+        assert defined
+        assert hom.matrix == tuple(
+            tuple(v % e if e else v for v in row)
+            for row, e in zip(matrix, target.gen_orders))
 
 
 class TestKernelImageCokernel:

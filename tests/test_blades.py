@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import center_oracle
 from cliffk.blades import (CliffordElement, Signature, TensorElement,
                            blade_grade, blade_mul, blade_name, center_basis,
                            elem_mul, tensor_mul, top_element)
@@ -174,6 +175,19 @@ def test_center_basis_spans_omega():
     basis = center_basis(sig)
     masks = {max(c.terms) for c in basis}
     assert masks == {0, 7}
+
+
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX],
+                         ids=["real", "complex"])
+def test_center_basis_matches_nullspace_oracle(field):
+    # every signature with n <= 10: the same basis, in the same order
+    for n in range(11):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            got = center_basis(sig, field)
+            want = center_oracle.center_basis(sig, field)
+            assert [(c.terms, c.field) for c in got] == \
+                [(c.terms, c.field) for c in want], sig
 
 
 def test_center_basis_bound():

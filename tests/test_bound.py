@@ -11,16 +11,17 @@ import pytest
 
 import cliffk
 from cliffk import _kernel_py, blades, errors, reps, structure
-from cliffk.abgroup import smith_normal_form
+from cliffk.abgroup import FGAbelianGroup, smith_normal_form
 from cliffk.blades import Signature, center_basis
 from cliffk.errors import MAX_CELLS, BoundExceededError
-from cliffk.ktheory import KTheory, point_k, reduced_k_rpn
+from cliffk.ktheory import KTheory, point_k, reduced_k_rpn, thom_stability
 from cliffk.reps import (build_rep, untwist_split_check,
                          verify_classification, verify_periodicity_iso)
 from cliffk.scalars import ScalarField
 
 R = ScalarField.REAL
 C = ScalarField.COMPLEX
+Z = FGAbelianGroup.free(1)
 
 # the only max_* parameters left in the public surface
 ALLOWED_KNOBS = {("verify_classification", "max_total"),
@@ -83,10 +84,15 @@ SITES = {
     "untwist_split_check": (reps, "untwist_split_check",
                             lambda: untwist_split_check(14),
                             lambda: untwist_split_check(15)),
-    "point_k": (reps, "build_rep", lambda: point_k.__wrapped__(30, KTheory.KO),
-                lambda: point_k(31, KTheory.KO)),
-    "reduced_k_rpn": (reps, "build_rep", lambda: reduced_k_rpn(30, KTheory.KU),
-                      lambda: reduced_k_rpn(31, KTheory.KU)),
+    # the K path builds no representation: its bound is classify's digit
+    # limit (n <= 14284), and the admitted call is cheap enough to run
+    "point_k": (None, None,
+                lambda: point_k.__wrapped__(14284, KTheory.KO) == Z,
+                lambda: point_k(14285, KTheory.KO)),
+    "reduced_k_rpn": (None, None,
+                      lambda: reduced_k_rpn(14284, KTheory.KU) ==
+                      FGAbelianGroup(0, (1 << 7142,)),
+                      lambda: reduced_k_rpn(14285, KTheory.KU)),
     # transforms of 1 + 1023**2 and 1 + 1024**2 entries
     "smith_normal_form": (_kernel_py, "Smith normal form",
                           lambda: smith_normal_form([[1] * 1023]),
@@ -99,6 +105,9 @@ def test_largest_admitted_size(site, monkeypatch):
     # stop the admitted call at its site's check, after the real check passed,
     # so the construction itself is not run
     module, label, admitted, _refused = SITES[site]
+    if module is None:
+        assert admitted()
+        return
     seen = []
 
     def spy(what, cells):
@@ -149,15 +158,23 @@ CHILD = """
 from cliffk.cli import main
 from cliffk.errors import BoundExceededError
 from cliffk.ktheory import thom_stability
-for argv in (["bott", "--max", "64"], ["rpn", "64"], ["rpn", "10000000"]):
+for argv in (["bott", "--max", "14285"], ["rpn", "14285"],
+             ["bott", "--max", "10000000"], ["rpn", "10000000"]):
     assert main(argv) == 2, argv
 try:
-    thom_stability(30, 0)
+    thom_stability(14276, 0)
 except BoundExceededError:
     pass
 else:
-    raise SystemExit("thom_stability(30, 0) was admitted")
+    raise SystemExit("thom_stability(14276, 0) was admitted")
 """
+
+
+def test_thom_stability_edge():
+    # the largest signature it classifies is (0, n + r_max + 9)
+    assert thom_stability(14275, 0)
+    with pytest.raises(BoundExceededError):
+        thom_stability(14276, 0)
 
 
 def _limit_address_space():

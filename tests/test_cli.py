@@ -1,6 +1,9 @@
 """Command line behavior: output text, JSON shape, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -255,6 +258,30 @@ class TestSeqSolve:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv", [
+        # 240 solutions: a write fails inside the command's own print
+        ("seq", str(SEQUENCES / "five_term.seq")),
+        # a few lines: the write fails only when stdout is flushed at exit
+        ("bott", "--max", "3"),
+    ], ids=["seq", "bott"])
+    def test_closed_stdout(self, argv):
+        # the reader is gone before the command writes, as after `| head`
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from cliffk.cli import run; run()",
+                 *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
+
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.seq"
         path.write_text("term A = Q\nterm B = Z\nmap f : A -> B = [[1]]\n")
@@ -301,9 +328,12 @@ class TestErrorPaths:
 class TestSizeBound:
     """Over-bound inputs exit 2 at once, before any large construction."""
 
+    # bott and rpn stop at classify's digit limit: degree 14284 is the last
     @pytest.mark.parametrize("argv", [
-        ("bott", "--max", "64"), ("bott", "--max", "31", "--theory", "ku"),
-        ("rpn", "64"), ("rpn", "10000000"), ("classify", "10000000", "0"),
+        ("bott", "--max", "14285"),
+        ("bott", "--max", "14285", "--theory", "ku"),
+        ("bott", "--max", "10000000"), ("rpn", "14285"), ("rpn", "10000000"),
+        ("classify", "10000000", "0"),
     ], ids=" ".join)
     def test_refused_fast(self, capsys, argv):
         start = time.perf_counter()

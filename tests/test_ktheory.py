@@ -2,8 +2,10 @@
 
 import pytest
 
+import cliffk.reps
 from cliffk.abgroup import FGAbelianGroup, UnknownMap, solve_exact
 from cliffk.blades import Signature
+from cliffk.cli import main
 from cliffk.errors import BoundExceededError, EmbeddingError
 from cliffk.ktheory import (
     ForgetfulFunctor,
@@ -65,7 +67,8 @@ class TestK0AndForgetful:
         assert f.matrix == ((1,), (1,))
 
     def test_generator_bound_propagates(self):
-        functor = ForgetfulFunctor(Signature(31, 0), Signature(30, 0))
+        # classify's digit limit: 2**14285 has too many decimal digits
+        functor = ForgetfulFunctor(Signature(14285, 0), Signature(14284, 0))
         with pytest.raises(BoundExceededError):
             forgetful_k_map(functor)
 
@@ -242,3 +245,46 @@ class TestFiberTwist:
         ]
         assert all(c.passed for c in report.checks)
         assert "((2,),)" in report.checks[3].detail
+
+
+KO_ROW = ("Z", "Z/2", "Z/2", "0", "Z", "0", "0", "0")
+GROWTH_PAIRS = ("(coker 0, ker Z)", "(coker Z, ker 0)", "(coker Z/2, ker 0)",
+                "(coker Z/2, ker 0)", "(coker 0, ker Z)")
+
+
+class TestNoRepresentationOnKPath:
+    """The K tables come from the classification table alone: with build_rep
+    made to raise, every K computation still gives its pinned answer."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_build_rep(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the K path built a representation")
+
+        monkeypatch.setattr(cliffk.reps, "build_rep", refuse)
+        point_k.cache_clear()
+
+    @pytest.mark.parametrize("theory,row", [("ko", KO_ROW), ("ku", ("Z", "0"))],
+                             ids=["ko", "ku"])
+    def test_bott_table(self, capsys, theory, row):
+        assert main(["bott", "--max", "30", "--theory", theory]) == 0
+        label = theory.upper()
+        assert capsys.readouterr().out == "".join(
+            f"{label}^-{i}: {row[i % len(row)]}\n" for i in range(31))
+
+    def test_projective_space(self, capsys):
+        assert main(["rpn", "30"]) == 0
+        assert capsys.readouterr().out == "Z/32768\n"
+
+    @pytest.mark.parametrize("n", range(3))
+    def test_thom_stability(self, n):
+        report = thom_stability(n, 2)
+        assert report.passed
+        assert [str(low) for _m, low, _high, _ok in report.period_checks] == \
+            list(GROWTH_PAIRS[n:n + 3])
+
+    def test_fiber_twist(self):
+        report = fiber_twist_check()
+        assert report.passed
+        assert report.checks[3].detail == \
+            "direct route ((2,),), twisted route ((2,),)"

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import character_oracle
 import intertwiner_oracle as oracle
 from cliffk.blades import Signature
 from cliffk.errors import (BoundExceededError, EmbeddingError,
@@ -13,15 +14,14 @@ from cliffk.reps import (
     UnitPermMatrix,
     build_rep,
     check_relations,
-    irrep_end_dim,
     kron,
-    restriction_multiplicities,
     untwist_split_check,
     verify_classification,
     verify_periodicity_iso,
 )
 from cliffk.scalars import ScalarField
-from cliffk.structure import classify, irrep_dims, min_faithful_dim
+from cliffk.structure import (classify, irrep_dims, irrep_end_dim,
+                              min_faithful_dim, restriction_multiplicities)
 
 R = ScalarField.REAL
 C = ScalarField.COMPLEX
@@ -268,18 +268,44 @@ class TestRestriction:
             restriction_multiplicities(Signature(1, 0), Signature(0, 2))
 
     def test_generator_bound(self):
-        # the bound is build_rep's, on the big signature
+        # no representation is built, so the bound is classify's digit
+        # limit on the big signature: 14284 generators fit, 14285 do not
         with pytest.raises(BoundExceededError):
-            restriction_multiplicities(Signature(31, 0), Signature(0, 0))
-        got = restriction_multiplicities(Signature(8, 3), Signature(8, 2))
-        assert len(got[0]) == classify(Signature(8, 3)).factors
+            restriction_multiplicities(Signature(14285, 0), Signature(0, 0))
+        # the simple module of C^{14284,0} is H**(2**7141), of real
+        # dimension 2**7143
+        got = restriction_multiplicities(Signature(14284, 0), Signature(0, 0))
+        assert got == ((1 << 7143,),)
 
 
 SIGS_UP_TO_8 = [Signature(p, n - p) for n in range(9) for p in range(n + 1)]
+SIGS_UP_TO_12 = [Signature(p, n - p) for n in range(13) for p in range(n + 1)]
 
 
 class TestAgainstIntertwinerOracle:
-    """Character pairings agree with explicit intertwiner solves."""
+    """The closed form agrees with character pairings and with explicit
+    intertwiner solves on the built representations."""
+
+    @pytest.mark.parametrize("field", [R, C], ids=["real", "complex"])
+    def test_restriction_matches_pairing_oracle(self, field):
+        # every (big, small) with big.n <= 12, small = big included: 1820
+        # pairs per field
+        for big in SIGS_UP_TO_12:
+            for sp, sq in itertools.product(range(big.p + 1),
+                                            range(big.q + 1)):
+                small = Signature(sp, sq)
+                assert restriction_multiplicities(big, small, field) == \
+                    character_oracle.restriction_multiplicities(
+                        big, small, field), (big, small, field)
+
+    @pytest.mark.parametrize("field", [R, C], ids=["real", "complex"])
+    def test_end_dims_match_pairing_oracle(self, field):
+        for sig in SIGS_UP_TO_12:
+            labels = (1, -1) if classify(sig, field).factors == 2 else (None,)
+            for label in labels:
+                assert irrep_end_dim(sig, field, label) == \
+                    character_oracle.irrep_end_dim(sig, field, label), \
+                    (sig, label)
 
     @pytest.mark.parametrize("field", [R, C], ids=["real", "complex"])
     def test_restriction_exhaustive(self, field):
