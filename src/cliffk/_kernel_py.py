@@ -1,18 +1,15 @@
 """Pure-Python compute kernels.
 
-These are the hot inner loops of the package: basis-blade products, the
-rank of a sparse integer system by fraction-free elimination, and Smith
-normal form with transform accumulation.  blades, reps and abgroup import
-this module as their kernel.
+These are the hot inner loops of the package: basis-blade products and
+Smith normal form with transform accumulation.  blades, reps and abgroup
+import this module as their kernel.
 
-All arithmetic is exact.  Matrix entries and row values are Python ints
-(arbitrary precision); blade coefficients are whatever exact ring elements the
-caller supplies.
+All arithmetic is exact.  Matrix entries are Python ints (arbitrary
+precision); blade coefficients are whatever exact ring elements the caller
+supplies.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .errors import check_size
 
@@ -61,67 +58,6 @@ def mul_term_maps(ta: dict, tb: dict, p: int) -> dict:
                 else:
                     del out[m]
     return out
-
-
-def _content_reduce(r: dict) -> None:
-    g = 0
-    for v in r.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for k in r:
-            r[k] //= g
-
-
-def _eliminate(row: dict, pivots: dict) -> dict:
-    """Reduce a row against pivot rows keyed by their minimal column."""
-    r = {k: v for k, v in row.items() if v}
-    while r:
-        c = min(r)
-        pr = pivots.get(c)
-        if pr is None:
-            return r
-        a = pr[c]
-        b = r[c]
-        g = gcd(a, b)
-        a //= g
-        b //= g
-        new = {}
-        for k, v in r.items():
-            if k != c:
-                new[k] = v * a
-        for k, v in pr.items():
-            if k == c:
-                continue
-            nv = new.get(k, 0) - v * b
-            if nv:
-                new[k] = nv
-            elif k in new:
-                del new[k]
-        _content_reduce(new)
-        r = new
-    return r
-
-
-def _echelonize(rows) -> dict:
-    """Consume rows, returning pivot rows keyed by minimal column."""
-    pivots: dict = {}
-    for row in rows:
-        r = _eliminate(row, pivots)
-        if r:
-            c = min(r)
-            _content_reduce(r)
-            if r[c] < 0:
-                for k in r:
-                    r[k] = -r[k]
-            pivots[c] = r
-    return pivots
-
-
-def sparse_rank(rows) -> int:
-    """Rank of a sparse integer matrix given as an iterable of row maps."""
-    return len(_echelonize(rows))
 
 
 def _row_sub(M: list, i: int, t: int, q: int) -> None:

@@ -27,7 +27,8 @@ def smith_normal_form(mat) -> tuple[list, list, list]:
     """(U, D, V) with U @ mat @ V == D, U and V unimodular.
 
     D is diagonal with non-negative entries forming a divisibility chain,
-    zeros last.  ``mat`` is a list of equal-length rows.  A shape whose
+    zeros last.  ``mat`` is a list of equal-length rows; ragged rows raise
+    InvalidGroupError.  A shape whose
     transforms U and V would exceed MAX_CELLS entries raises
     BoundExceededError.
 
@@ -38,7 +39,7 @@ def smith_normal_form(mat) -> tuple[list, list, list]:
     m = len(mat)
     n = len(mat[0]) if m else 0
     if any(len(row) != n for row in mat):
-        raise ValueError("ragged matrix")
+        raise InvalidGroupError("ragged matrix")
     return _kernel.snf(mat, m, n)
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
                       cokernel, kernel)
 from .blades import Signature
-from .errors import EmbeddingError
+from .errors import EmbeddingError, InvalidSignatureError
 from .scalars import ScalarField
 from .structure import classify, restriction_multiplicities
 
@@ -114,7 +114,7 @@ def adams_f(n: int) -> int:
     [0, 3, 5]
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise InvalidSignatureError("n must be non-negative")
     return sum(1 for s in range(1, n + 1) if s % 8 in (0, 1, 2, 4))
 
 
@@ -128,7 +128,7 @@ def reduced_k_rpn(n: int, theory: KTheory = KTheory.KO) -> FGAbelianGroup:
     'Z/2'
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InvalidSignatureError("n must be positive")
     functor = ForgetfulFunctor(Signature(n, 0), Signature(0, 0), theory.field)
     return cokernel(forgetful_k_map(functor))
 
@@ -146,7 +146,7 @@ def point_k(i: int, theory: KTheory = KTheory.KO) -> FGAbelianGroup:
     '0'
     """
     if i < 0:
-        raise ValueError("degree index must be non-negative")
+        raise InvalidSignatureError("degree index must be non-negative")
     if i == 0:
         return FGAbelianGroup.free(1)
     functor = ForgetfulFunctor(Signature(i, 0), Signature(i - 1, 0),
@@ -198,7 +198,7 @@ def thom_stability(n: int, r_max: int) -> ThomStabilityReport:
     shifted residue.  Truthiness of the report is the conjunction.
     """
     if n < 0 or r_max < 0:
-        raise ValueError("n and r_max must be non-negative")
+        raise InvalidSignatureError("n and r_max must be non-negative")
 
     def growth_pair(m: int) -> RelativeK:
         functor = ForgetfulFunctor(Signature(0, m + 1), Signature(0, m))
@@ -232,7 +232,7 @@ def bott_sequence_instance(i: int) -> Sequence:
     table identifies with it.
     """
     if i < 0:
-        raise ValueError("degree index must be non-negative")
+        raise InvalidSignatureError("degree index must be non-negative")
     tail_index = i - 1 if i >= 1 else 1
     terms = (point_k(i, KTheory.KU), point_k(i, KTheory.KO),
              point_k(i + 1, KTheory.KO), point_k(tail_index, KTheory.KU))

@@ -48,13 +48,12 @@ class UnitPermMatrix:
     arithmetic mod 4.
     """
 
-    __slots__ = ("n", "rows", "codes", "_inv")
+    __slots__ = ("n", "rows", "codes")
 
     def __init__(self, rows, codes):
         self.n = len(rows)
         self.rows = tuple(rows)
         self.codes = tuple(c & 3 for c in codes)
-        self._inv = None
         if sorted(self.rows) != list(range(self.n)):
             raise ValueError("rows must be a permutation")
         if len(self.codes) != self.n:
@@ -79,15 +78,6 @@ class UnitPermMatrix:
     def mul_unit(self, code: int) -> "UnitPermMatrix":
         """Multiply the whole matrix by i**code."""
         return UnitPermMatrix(self.rows, tuple(c + code for c in self.codes))
-
-    def inverse_rows(self) -> tuple[int, ...]:
-        """Permutation lookup: inverse_rows()[a] is the column hitting row a."""
-        if self._inv is None:
-            inv = [0] * self.n
-            for j, a in enumerate(self.rows):
-                inv[a] = j
-            self._inv = tuple(inv)
-        return self._inv
 
     @property
     def is_real(self) -> bool:
@@ -307,11 +297,14 @@ def verify_classification(sig: Signature, field: ScalarField = _REAL,
     """Check the classification table against the explicit representation.
 
     True iff the built representation satisfies the generator relations, has
-    the minimal faithful dimension predicted by the table, and its 2**n blade
-    images span a space of exact dimension 2**n over the scalar field (so the
-    image algebra has the full dimension and the module is faithful with the
-    stated summand multiplicities).  The blade images are bounded by
-    MAX_CELLS; ``max_total``, when given, also caps the generator count.
+    the minimal faithful dimension predicted by the table, and every blade
+    image but the identity has trace 0.  Certificate: under the relations
+    E_A**-1 E_B is a sign times E_(A xor B), so zero traces make the trace
+    form tr(E_A**-1 E_B) equal to dim * I and the 2**n blade images
+    independent over the scalar field (so the image algebra has the full
+    dimension and the module is faithful with the stated summand
+    multiplicities).  The blade images are bounded by MAX_CELLS;
+    ``max_total``, when given, also caps the generator count.
     """
     if max_total is not None and sig.n > max_total:
         raise BoundExceededError(f"{sig} has more than {max_total} generators")
@@ -324,27 +317,12 @@ def verify_classification(sig: Signature, field: ScalarField = _REAL,
         return False
     if desc.dim_over_field != sig.dim:
         return False
-    d = rep.dim
-    if field is _REAL:
-        rows = []
-        for m in mats:
-            row = {}
-            for j, a in enumerate(m.rows):
-                row[a * d + j] = 1 if m.codes[j] == 0 else -1
-            rows.append(row)
-        return kernel.sparse_rank(rows) == sig.dim
-    # complex: realify the C-span of the blade images; including the i-scaled
-    # copies makes the real rank exactly twice the complex dimension
-    rows = []
-    unit_part = {0: (0, 1), 1: (1, 1), 2: (0, -1), 3: (1, -1)}
-    for m in mats:
-        for shift in (0, 1):
-            row = {}
-            for j, a in enumerate(m.rows):
-                part, v = unit_part[(m.codes[j] + shift) & 3]
-                row[2 * (a * d + j) + part] = v
-            rows.append(row)
-    return kernel.sparse_rank(rows) == 2 * sig.dim
+    # a trace is 0 iff its 1s balance its -1s and its i's balance its -i's
+    for m in mats[1:]:
+        t1, ti, tm1, tmi = m.trace_quadruple()
+        if t1 != tm1 or ti != tmi:
+            return False
+    return True
 
 
 def verify_periodicity_iso(m: int) -> bool:
@@ -354,7 +332,9 @@ def verify_periodicity_iso(m: int) -> bool:
     1 (x) e1, 1 (x) e2.  Checks the images satisfy the domain relations
     (square +1, pairwise anticommuting) and that the 2**(m+2) blade images
     are linearly independent, so the map is an isomorphism of algebras.
-    Its (m+2) * 2**(m+2) blade-image entries are bounded by MAX_CELLS.
+    Certificate: each blade image is a single tensor term, so the images
+    are independent iff their (left, right) supports are distinct.  Its
+    (m+2) * 2**(m+2) blade-image entries are bounded by MAX_CELLS.
     """
     left = Signature(m, 0)  # rejects a negative m
     check_size(f"verify_periodicity_iso({m})", (m + 2) << (m + 2))
@@ -381,13 +361,12 @@ def verify_periodicity_iso(m: int) -> bool:
     for mask in range(1, total):
         low = mask & -mask
         blade_imgs[mask] = images[low.bit_length() - 1] * blade_imgs[mask ^ low]
-    rows = []
-    for img in blade_imgs:
-        row = {}
-        for (ml, mr), coeff in img.terms.items():
-            row[ml * 4 + mr] = int(coeff)
-        rows.append(row)
-    return kernel.sparse_rank(rows) == total
+    supports = set()
+    for mask, img in enumerate(blade_imgs):
+        if len(img.terms) != 1:
+            raise AssertionError(f"blade image {mask} is not a single term")
+        supports.update(img.terms)
+    return len(supports) == total
 
 
 def _crossed_mul(t1, t2, n: int):
@@ -412,18 +391,16 @@ def untwist_split_check(n: int) -> bool:
     first n generators and commutes with the last, the element z = eta *
     e_{n+1} is checked to be a central involution; the two corners cut out by
     (1 +- z)/2 then each have dimension 2**(n+1) and multiplication by either
-    idempotent embeds C^{0,n+1} isomorphically onto its corner.  Its
-    (n+2) * 2**(n+2) entries are bounded by MAX_CELLS.
+    idempotent embeds C^{0,n+1} isomorphically onto its corner.
+    Certificate: x -> x * z pairs each eta-free basis term with an eta-ful
+    one, and the two rows x (1 +- z) of a pair are proportional iff their
+    product signs multiply to 1.  Its (n+2) * 2**(n+2) entries are bounded
+    by MAX_CELLS.
     """
     if n < 0:
         raise InvalidSignatureError(f"negative reflected-direction count {n}")
     check_size(f"untwist_split_check({n})", (n + 2) << (n + 2))
     nblades = 1 << (n + 1)
-
-    def key(term):
-        mask, e = term
-        return e * nblades + mask
-
     z = (1 << n, 1)
     # centrality against every generator and against eta itself
     gens = [((1 << i, 0)) for i in range(n + 1)] + [(0, 1)]
@@ -435,23 +412,13 @@ def untwist_split_check(n: int) -> bool:
     sz, tz = _crossed_mul(z, z, n)
     if sz != 1 or tz != (0, 0):
         return False
-    # corner ranks: x * (1 +- z)/2 for x over the full basis
-    for eps in (1, -1):
-        rows = []
-        for mask in range(nblades):
-            for e in (0, 1):
-                x = (mask, e)
-                s, t = _crossed_mul(x, z, n)
-                rows.append({key(x): 1, key(t): eps * s})
-        if kernel.sparse_rank(rows) != nblades:
-            return False
-        # restriction of the corner projection to the eta-free subalgebra
-        # is injective, hence an algebra isomorphism onto the corner
-        sub_rows = []
-        for mask in range(nblades):
-            x = (mask, 0)
-            s, t = _crossed_mul(x, z, n)
-            sub_rows.append({key(x): 1, key(t): eps * s})
-        if kernel.sparse_rank(sub_rows) != nblades:
+    # pairs have disjoint supports and each holds one eta-free x, so both
+    # corners, and their eta-free rows alone, have rank 2**(n+1) for either
+    # sign iff every pair has rank 1
+    for mask in range(nblades):
+        x = (mask, 0)
+        s, t = _crossed_mul(x, z, n)
+        s_back, back = _crossed_mul(t, z, n)
+        if t[1] != 1 or back != x or s * s_back != 1:
             return False
     return True

@@ -15,6 +15,7 @@ from math import gcd
 from cliffk import _kernel_py as kernel
 from cliffk.blades import CliffordElement, Signature
 from cliffk.scalars import ScalarField
+from rank_oracle import _echelonize
 
 
 def sparse_nullspace(rows, ncols: int) -> list[dict]:
@@ -24,7 +25,7 @@ def sparse_nullspace(rows, ncols: int) -> list[dict]:
     a {column: int} map scaled to content 1 with positive entry at its free
     column.  Deterministic for a fixed row order.
     """
-    pivots = kernel._echelonize(rows)
+    pivots = _echelonize(rows)
     order = sorted(pivots, reverse=True)
     basis = []
     for f in range(ncols):

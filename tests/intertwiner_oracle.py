@@ -14,7 +14,7 @@ from __future__ import annotations
 from character_oracle import (_central_involution, _embedding_indices,
                               _factor_labels)
 from cliffk.blades import Signature
-from cliffk.reps import MatrixRep, build_rep
+from cliffk.reps import MatrixRep, UnitPermMatrix, build_rep
 from cliffk.scalars import ScalarField
 from cliffk.structure import classify
 
@@ -123,6 +123,14 @@ def _emit_rows(equations, ncells: int, complexified: bool):
                     yield row
 
 
+def inverse_rows(m: UnitPermMatrix) -> tuple[int, ...]:
+    """Permutation lookup: inverse_rows(m)[a] is the column hitting row a."""
+    inv = [0] * m.n
+    for j, a in enumerate(m.rows):
+        inv[a] = j
+    return tuple(inv)
+
+
 def _hom_nullity(big: MatrixRep, small: MatrixRep, emb_idx: tuple[int, ...],
                  big_cond, small_cond) -> int:
     """Real dimension of {X : rho_big(g) X = X rho_small(g), side conditions}.
@@ -139,7 +147,7 @@ def _hom_nullity(big: MatrixRep, small: MatrixRep, emb_idx: tuple[int, ...],
         for t_small, t_big in enumerate(emb_idx):
             g = big.gens[t_big]
             h = small.gens[t_small]
-            ginv = g.inverse_rows()
+            ginv = inverse_rows(g)
             gcodes = g.codes
             hrows = h.rows
             hcodes = h.codes
@@ -153,7 +161,7 @@ def _hom_nullity(big: MatrixRep, small: MatrixRep, emb_idx: tuple[int, ...],
                     yield ((base + b, ca, 1), (arow + hrows[b], hcodes[b], -1))
         if big_cond is not None:
             c, eps = big_cond
-            cinv = c.inverse_rows()
+            cinv = inverse_rows(c)
             for a in range(db):
                 ja = cinv[a]
                 base = ja * ds

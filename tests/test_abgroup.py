@@ -26,7 +26,8 @@ from cliffk.abgroup import (
     smith_normal_form,
     solve_exact,
 )
-from cliffk.errors import CliffkError, IllDefinedHomError, SearchSpaceError
+from cliffk.errors import (CliffkError, IllDefinedHomError, InvalidGroupError,
+                           SearchSpaceError)
 from solver_oracle import _hom_count
 
 Z = FGAbelianGroup.free(1)
@@ -100,6 +101,10 @@ class TestSmithNormalForm:
         mat = [[2, 0], [0, 3]]
         _u, d, _v = smith_normal_form(mat)
         assert d == [[1, 0], [0, 6]]
+
+    def test_ragged_rows(self):
+        with pytest.raises(InvalidGroupError):
+            smith_normal_form([[1], [2, 3]])
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(

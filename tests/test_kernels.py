@@ -1,7 +1,7 @@
 """Contracts for the low-level compute kernels in cliffk._kernel_py.
 
-The union-find rank of the intertwiner oracle and the null space of the
-center oracle are tested here too.
+The union-find rank of the intertwiner oracle, the sparse rank of the rank
+oracle and the null space of the center oracle are tested here too.
 """
 
 import random
@@ -11,6 +11,7 @@ import pytest
 from center_oracle import sparse_nullspace
 from cliffk import _kernel_py as kern
 from intertwiner_oracle import unit_pair_rank
+from rank_oracle import sparse_rank
 
 
 def _random_sparse_rows(rng, nrows, ncols, density=0.4, lo=-9, hi=9):
@@ -85,7 +86,7 @@ class TestKernel:
             rows = _random_sparse_rows(rng, nrows, ncols)
             dense = _dense(rows, ncols)
             expect = _rank_fraction(dense, ncols)
-            assert kern.sparse_rank(rows) == expect
+            assert sparse_rank(rows) == expect
 
     def test_sparse_nullspace_annihilates(self):
         rng = random.Random(11)
@@ -94,7 +95,7 @@ class TestKernel:
             ncols = rng.randint(1, 6)
             rows = _random_sparse_rows(rng, nrows, ncols)
             basis = sparse_nullspace(rows, ncols)
-            assert len(basis) == ncols - kern.sparse_rank(rows)
+            assert len(basis) == ncols - sparse_rank(rows)
             for vec in basis:
                 for row in rows:
                     s = sum(v * vec.get(j, 0) for j, v in row.items())

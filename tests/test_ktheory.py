@@ -6,7 +6,8 @@ import cliffk.reps
 from cliffk.abgroup import FGAbelianGroup, UnknownMap, solve_exact
 from cliffk.blades import Signature
 from cliffk.cli import main
-from cliffk.errors import BoundExceededError, EmbeddingError
+from cliffk.errors import (BoundExceededError, EmbeddingError,
+                           InvalidSignatureError)
 from cliffk.ktheory import (
     ForgetfulFunctor,
     KTheory,
@@ -106,6 +107,22 @@ class TestAdamsCount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             adams_f(-1)
+
+
+NEGATIVE_DEGREES = {
+    "point_k(-1)": lambda: point_k(-1),
+    "reduced_k_rpn(0)": lambda: reduced_k_rpn(0),
+    "adams_f(-1)": lambda: adams_f(-1),
+    "thom_stability(-1, 0)": lambda: thom_stability(-1, 0),
+    "thom_stability(0, -1)": lambda: thom_stability(0, -1),
+    "bott_sequence_instance(-1)": lambda: bott_sequence_instance(-1),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_DEGREES)
+def test_degree_out_of_range_is_a_cliffk_error(call):
+    with pytest.raises(InvalidSignatureError):
+        NEGATIVE_DEGREES[call]()
 
 
 class TestProjectiveSpace:

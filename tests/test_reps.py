@@ -6,7 +6,9 @@ import pytest
 
 import character_oracle
 import intertwiner_oracle as oracle
-from cliffk.blades import Signature
+import rank_oracle
+from cliffk import reps
+from cliffk.blades import CliffordElement, Signature
 from cliffk.errors import (BoundExceededError, EmbeddingError,
                            InvalidSignatureError)
 from cliffk.reps import (
@@ -72,7 +74,7 @@ class TestUnitPermMatrix:
 
     def test_inverse_rows(self):
         g = UnitPermMatrix((2, 0, 3, 1), (1, 0, 2, 3))
-        inv = g.inverse_rows()
+        inv = oracle.inverse_rows(g)
         for a in range(4):
             assert g.rows[inv[a]] == a
 
@@ -207,6 +209,97 @@ class TestClassificationCheck:
         with pytest.raises(BoundExceededError):
             verify_classification(Signature(9, 0), max_total=8)
         assert verify_classification(Signature(9, 0))
+
+
+SIGS_UP_TO_9 = [Signature(p, n - p) for n in range(10) for p in range(n + 1)]
+
+
+def _doubled(sig: Signature, field, gens) -> MatrixRep:
+    """One module taken twice: diag(g, g) for each generator g."""
+    ident = UnitPermMatrix.identity(2)
+    gens = tuple(kron(ident, g) for g in gens)
+    return MatrixRep(sig, field, gens[0].n, gens)
+
+
+def _non_faithful_reps() -> dict[str, MatrixRep]:
+    """Relations hold at the minimal faithful dimension, yet the blade
+    images are dependent."""
+    ident = UnitPermMatrix.identity(2)
+    li, lj = build_rep(Signature(2, 0)).gens
+    s1, s2 = build_rep(Signature(0, 2), C).gens
+    return {
+        "C^{0,1} real, generator I":
+            MatrixRep(Signature(0, 1), R, 2, (ident,)),
+        "C^{0,1} complex, generator I":
+            MatrixRep(Signature(0, 1), C, 2, (ident,)),
+        # left multiplication by i, j, k on H (+) H: the volume acts as -1
+        "C^{3,0} real, volume -1":
+            _doubled(Signature(3, 0), R, (li, lj, li @ lj)),
+        # the Pauli matrices on C^2 (+) C^2: the volume acts as i
+        "C^{0,3} complex, volume i":
+            _doubled(Signature(0, 3), C, (s1, s2, (s1 @ s2).mul_unit(3))),
+    }
+
+
+class TestAgainstRankOracle:
+    """The trace, support and pairing certificates agree with exact sparse
+    ranks of the rows they stand for."""
+
+    @pytest.mark.parametrize("field", [R, C], ids=["real", "complex"])
+    def test_classification_matches_rank_oracle(self, field):
+        # 55 signatures per field
+        for sig in SIGS_UP_TO_9:
+            assert verify_classification(sig, field) == \
+                rank_oracle.verify_classification(sig, field), (sig, field)
+
+    def test_periodicity_matches_rank_oracle(self):
+        for m in range(11):
+            assert verify_periodicity_iso(m) == \
+                rank_oracle.verify_periodicity_iso(m), m
+
+    def test_untwist_matches_rank_oracle(self):
+        for n in range(11):
+            assert untwist_split_check(n) == \
+                rank_oracle.untwist_split_check(n), n
+
+    @pytest.mark.parametrize("case", list(_non_faithful_reps()))
+    def test_non_faithful_rep_fails(self, case, monkeypatch):
+        rep = _non_faithful_reps()[case]
+        assert check_relations(rep)
+        assert rep.dim == min_faithful_dim(rep.sig, rep.field)
+        monkeypatch.setattr(reps, "build_rep", lambda sig, field=R: rep)
+        assert not verify_classification(rep.sig, rep.field)
+        assert not rank_oracle.verify_classification(rep.sig, rep.field)
+
+    def test_colliding_supports_fail_periodicity(self, monkeypatch):
+        # t1, t2 and t1 t2 satisfy the relations of C^{3,0}, but the blade
+        # t1 t2 t3 then lands on the support of 1 (x) e1 e2
+        generator = CliffordElement.generator
+
+        def collapsed(sig, i, field=R):
+            if sig == Signature(3, 0) and i == 3:
+                return generator(sig, 1, field) * generator(sig, 2, field)
+            return generator(sig, i, field)
+
+        monkeypatch.setattr(CliffordElement, "generator",
+                            staticmethod(collapsed))
+        assert not verify_periodicity_iso(3)
+        assert not rank_oracle.verify_periodicity_iso(3)
+
+    def test_pair_sign_mismatch_fails_untwist(self, monkeypatch):
+        # flip the sign of (e1 e2) * z alone: z stays a central involution,
+        # but the rows of the pair {e1 e2, e1 e2 z} become independent
+        crossed_mul = reps._crossed_mul
+
+        def flipped(t1, t2, n):
+            s, t = crossed_mul(t1, t2, n)
+            if t1 == (0b11, 0) and t2 == (1 << n, 1):
+                return -s, t
+            return s, t
+
+        monkeypatch.setattr(reps, "_crossed_mul", flipped)
+        assert not untwist_split_check(2)
+        assert not rank_oracle.untwist_split_check(2)
 
 
 RESTRICTION_CASES = [
