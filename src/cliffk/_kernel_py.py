@@ -1,8 +1,9 @@
 """Pure-Python compute kernels.
 
-These are the hot inner loops of the package: basis-blade products and
-Smith normal form with transform accumulation.  blades, reps and abgroup
-import this module as their kernel.
+These are the hot inner loops of the package: basis-blade products, Smith
+normal form with transform accumulation, and Hermite normal form of a
+subgroup lattice, the canonical key that decides exactness.  blades, reps
+and abgroup import this module as their kernel.
 
 All arithmetic is exact.  Matrix entries are Python ints (arbitrary
 precision); blade coefficients are whatever exact ring elements the caller
@@ -167,3 +168,98 @@ def snf(mat, nrows: int, ncols: int) -> tuple[list, list, list]:
         _col_sub(D, fix, fix + 1, -1)
         _col_sub(V, fix, fix + 1, -1)
     raise AssertionError("Smith normal form failed to converge")
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def hnf(gens, moduli) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite normal form of the lattice spanned by ``gens`` and the
+    vectors moduli[j] * e_j, as a tuple of its nonzero rows.
+
+    ``moduli[j]`` is 0 for a free coordinate.  The form is canonical: rows
+    in echelon order, each pivot positive, and every entry above a pivot
+    reduced into [0, pivot).  So two generator lists span the same lattice
+    iff their forms are equal, which makes the form a key for a subgroup
+    of Z^r + Z/d_1 + ... (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.2).  Every torsion column ends up a pivot column.
+
+    Columns are cleared left to right by extended-gcd row pairs.  The row
+    d_j * e_j joins when column j is cleared: it has zeros to the left, and
+    added earlier it would be reduced mod d_j to nothing.  Entries in a
+    torsion column k not yet cleared are reduced mod d_k throughout, which
+    the lattice allows and which keeps them small.
+    """
+    n = len(moduli)
+    gens = list(gens)
+    check_size(f"Hermite normal form of {len(gens)} generators in {n} "
+               "coordinates", (len(gens) + n) * n)
+    tors = [k for k in range(n) if moduli[k]]
+    rows = []
+    for v in gens:
+        r = list(v)
+        for k in tors:
+            r[k] %= moduli[k]
+        if any(r):
+            rows.append(r)
+    out = []
+    pivots = []
+    for j in range(n):
+        d = moduli[j]
+        if d:
+            r = [0] * n
+            r[j] = d
+            rows.append(r)
+        piv = None
+        rest = []
+        for r in rows:
+            x = r[j]
+            if not x:
+                rest.append(r)
+            elif piv is None:
+                piv = r
+            else:
+                a = piv[j]
+                if x % a == 0:
+                    q = x // a
+                    r = [u - q * w for u, w in zip(r, piv)]
+                else:
+                    g, s, t = _xgcd(a, x)
+                    ag, xg = a // g, x // g
+                    piv, r = ([s * w + t * u for w, u in zip(piv, r)],
+                              [xg * w - ag * u for w, u in zip(piv, r)])
+                rest.append(r)
+        rows = []
+        later = [k for k in tors if k > j]
+        for r in rest:
+            for k in later:
+                r[k] %= moduli[k]
+            if any(r):
+                rows.append(r)
+        if piv is not None:
+            if piv[j] < 0:
+                piv = [-w for w in piv]
+            for k in later:
+                piv[k] %= moduli[k]
+            out.append(piv)
+            pivots.append(j)
+    # reduce above each pivot, left to right: a pivot row is zero left of
+    # its pivot, so it leaves the entries reduced before it alone
+    for i, (c, row) in enumerate(zip(pivots, out)):
+        p = row[c]
+        for r in out[:i]:
+            q = r[c] // p
+            if q:
+                for k in range(c, n):
+                    r[k] -= q * row[k]
+    return tuple(tuple(r) for r in out)

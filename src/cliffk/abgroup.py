@@ -9,7 +9,10 @@ and homomorphism matrices have a fixed coordinate convention throughout.
 Subgroup and quotient computations reduce to integer lattice work: a
 subgroup given by generator columns S inside Z^n / col(R) is presented by
 the relations {c : S c in col(R)}, obtained from the kernel lattice of
-[S | R]; containment of lattices is decided by exact solvability.
+[S | R].  The same subgroup is also the lattice spanned by S and R, whose
+Hermite normal form is a canonical key: two subgroups of a group are equal
+iff their keys are, so exactness is key equality, and the solver buckets
+candidate maps by key instead of testing pairs.
 """
 
 from __future__ import annotations
@@ -365,18 +368,21 @@ def image(f: GroupHom) -> FGAbelianGroup:
     return _subgroup_iso_class(f.target, _columns([list(r) for r in f.matrix]))
 
 
-def _lattice_member(mat, nrows: int, ncols: int, vec) -> bool:
-    """Whether vec lies in the column lattice of mat, by exact solve."""
-    u, d, _v = _kernel.snf([list(r) for r in mat], nrows, ncols)
-    w = [sum(u[i][k] * vec[k] for k in range(nrows)) for i in range(nrows)]
-    for i in range(nrows):
-        di = d[i][i] if i < ncols else 0
-        if di:
-            if w[i] % di:
-                return False
-        elif w[i]:
-            return False
-    return True
+def _subgroup_key(ambient: FGAbelianGroup, gen_cols) -> tuple:
+    """Canonical key of the subgroup of ``ambient`` generated by the columns:
+    the Hermite normal form of the columns stacked with the relation vectors
+    d_i * e_i, so equal subgroups, and only they, get equal keys."""
+    return _kernel.hnf(gen_cols, ambient.gen_orders)
+
+
+def image_key(f: GroupHom) -> tuple:
+    """Canonical key of im f as a subgroup of f.target."""
+    return _subgroup_key(f.target, _columns(f.matrix))
+
+
+def kernel_key(f: GroupHom) -> tuple:
+    """Canonical key of ker f as a subgroup of f.source; one SNF."""
+    return _subgroup_key(f.source, _kernel_gen_columns(f))
 
 
 @dataclass(frozen=True)
@@ -452,21 +458,21 @@ def check_exact(seq: Sequence, at: int) -> bool:
     """Exactness at interior term ``at``: image of the incoming map equals
     the kernel of the outgoing one, as subgroups of the middle term.
 
-    The composite being zero gives image inside kernel; the reverse
-    containment is checked on kernel generators against the image lattice
-    (image columns plus middle relations).
+    Decided by comparing their canonical keys (image_key, kernel_key).
+    Image equal to kernel already forces the composite to be zero, so no
+    composition is formed.
+
+    >>> Z = FGAbelianGroup.free(1)
+    >>> Z2 = FGAbelianGroup.from_invariants(0, (2,))
+    >>> seq = Sequence((Z, Z, Z2), (GroupHom(Z, Z, ((2,),)),
+    ...                             GroupHom(Z, Z2, ((1,),))))
+    >>> check_exact(seq, 1)
+    True
     """
     f, g = _maps_around(seq, at)
-    if not (g @ f).is_zero:
-        return False
-    middle = f.target
-    n = middle.n_gens
-    lat = _hstack([list(r) for r in f.matrix], middle.relation_matrix())
-    lat_cols = len(lat[0]) if lat else 0
-    for col in _kernel_gen_columns(g):
-        if not _lattice_member(lat, n, lat_cols, col):
-            return False
-    return True
+    if f.target != g.source:
+        raise IllDefinedHomError("composition endpoint mismatch")
+    return image_key(f) == kernel_key(g)
 
 
 def exactness_indices(seq: Sequence, at: int) -> tuple[int | None, int | None]:
@@ -569,40 +575,41 @@ def _decimal(n: int) -> str:
         return f"2^{n.bit_length() - 1}"
 
 
-def _exact_picks(terms, candidates, exact_at):
+def _exact_picks(candidates, exact_at):
     """Candidate indices of the maps, one tuple per exact assignment, in
     lexicographic order.
 
-    Depth-first over the maps from left to right: once map k is fixed,
-    exactness at term k is tested on maps k - 1 and k, and a failure prunes
-    every extension.  Each test is memoized by (k, index of map k - 1,
-    index of map k): one entry per pair of adjacent candidates at most, so
-    no more than the marked positions times the assignments counted for
-    the ceiling.
+    Depth-first over the maps from left to right.  For each marked term k,
+    the candidates of map k are bucketed by kernel key, in ascending index
+    order, and each candidate of map k - 1 is given the bucket of its image
+    key.  Once map k - 1 is fixed, the search visits only that bucket at
+    map k: exactly the candidates exact with it, in the order a full product
+    enumeration meets them.  Each candidate gets at most one key of each
+    kind, so the work is linear in the candidates plus the solutions.
     """
-    memo = {}
+    follow = {}
+    for k in exact_at:
+        buckets = {}
+        for i, g in enumerate(candidates[k]):
+            buckets.setdefault(kernel_key(g), []).append(i)
+        follow[k] = [buckets.get(image_key(f), ())
+                     for f in candidates[k - 1]]
     last = len(candidates) - 1
-    picks = [-1] * len(candidates)
-    k = 0
-    while k >= 0:
-        picks[k] += 1
-        if picks[k] == len(candidates[k]):
-            picks[k] = -1
-            k -= 1
+    picks = [0] * len(candidates)
+    stack = [iter(range(len(candidates[0])))]
+    while stack:
+        k = len(stack) - 1
+        p = next(stack[-1], None)
+        if p is None:
+            stack.pop()
             continue
-        if k in exact_at:
-            key = (k, picks[k - 1], picks[k])
-            ok = memo.get(key)
-            if ok is None:
-                f, g = candidates[k - 1][key[1]], candidates[k][key[2]]
-                ok = memo[key] = check_exact(
-                    Sequence(terms[k - 1:k + 2], (f, g)), 1)
-            if not ok:
-                continue
+        picks[k] = p
         if k == last:
             yield tuple(picks)
+        elif k + 1 in follow:
+            stack.append(iter(follow[k + 1][p]))
         else:
-            k += 1
+            stack.append(iter(range(len(candidates[k + 1]))))
 
 
 def solve_exact(seq: Sequence, bound: int,
@@ -619,12 +626,13 @@ def solve_exact(seq: Sequence, bound: int,
 
     For each choice of unknown terms, every map's candidate homomorphisms
     are built once, and a choice that a fixed map's endpoints reject is
-    skipped whole.  A depth-first search then fixes map 0, map 1, ... in
-    turn and tests exactness at term k as soon as map k is fixed, pruning
-    the subtree on failure; the tests are memoized per pair of adjacent
-    candidates, and the memo is reset for each choice of terms.  Results
-    come in the order of a full product enumeration: term choices
-    outermost, then maps in lexicographic candidate order.
+    skipped whole.  At each marked term k, every candidate of map k - 1
+    gets one image key and every candidate of map k one kernel key
+    (image_key, kernel_key).  A depth-first search then fixes map 0, map 1,
+    ... in turn, and at a marked k visits only the map-k candidates whose
+    kernel key equals the image key of the fixed map k - 1.  Results come
+    in the order of a full product enumeration: term choices outermost,
+    then maps in lexicographic candidate order.
 
     >>> Z = FGAbelianGroup.free(1)
     >>> seq = Sequence((Z, Z, FGAbelianGroup.trivial()),
@@ -655,7 +663,7 @@ def solve_exact(seq: Sequence, bound: int,
              for mat in _hom_candidates(terms[i], terms[i + 1], bound)]
             if isinstance(m, UnknownMap) else [m]
             for i, m in enumerate(seq.maps)]
-        for picks in _exact_picks(terms, candidates, exact_at):
+        for picks in _exact_picks(candidates, exact_at):
             maps = tuple(candidates[i][p] for i, p in enumerate(picks))
             results.append(Sequence(terms, maps, seq.names, seq.exact_at))
     return results

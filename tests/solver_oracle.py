@@ -5,15 +5,17 @@ pruned depth-first search: it walks the whole Cartesian product of candidate
 maps, builds every assignment as a Sequence and checks exactness at every
 marked position.  It is slow, and kept as the oracle of a differential test:
 both must return the same solutions in the same order, and refuse the same
-inputs with SearchSpaceError.
+inputs with SearchSpaceError.  Its exactness test is the composition and
+membership check of tests/exactness_oracle.py, not the library's key test.
 """
 
 import itertools
 from math import prod
 
 from cliffk.abgroup import (GroupHom, Sequence, UnknownGroup, UnknownMap,
-                            _cell_counts, _hom_candidates, check_exact)
+                            _cell_counts, _hom_candidates)
 from cliffk.errors import IllDefinedHomError, SearchSpaceError
+from exactness_oracle import check_exact
 
 
 def _hom_count(src, tgt, bound: int) -> int:

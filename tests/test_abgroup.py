@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exactness_oracle
 import solver_oracle
-from cliffk import abgroup
 from cliffk.abgroup import (
     UNKNOWN_MAP,
     FGAbelianGroup,
@@ -18,11 +18,15 @@ from cliffk.abgroup import (
     Sequence,
     UnknownGroup,
     _entry_candidates,
+    _hom_candidates,
+    _subgroup_key,
     check_exact,
     cokernel,
     exactness_indices,
     image,
+    image_key,
     kernel,
+    kernel_key,
     smith_normal_form,
     solve_exact,
 )
@@ -459,6 +463,7 @@ class TestCheckExact:
                 exactness_indices(seq, 1)
 
     def test_agrees_with_element_level_oracle(self):
+        # the library's keys and the membership oracle alike
         rng = random.Random(7)
         groups = [TRIV, cyclic(2), cyclic(3), cyclic(4),
                   FGAbelianGroup.from_invariants(0, (2, 2)),
@@ -474,9 +479,161 @@ class TestCheckExact:
             ker = {x for x in b.elements() if not any(g.apply(x))}
             want = img == ker
             assert check_exact(seq, 1) == want
+            assert exactness_oracle.check_exact(seq, 1) == want
             seen[want] += 1
         # the sample must exercise both outcomes to mean anything
         assert seen[True] >= 10 and seen[False] >= 10
+
+
+def unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A random n x n integer matrix of determinant +-1, by row operations
+    on the identity."""
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            mat[i] = [-v for v in mat[i]]
+        else:
+            q = rng.randint(-3, 3)
+            mat[i] = [a + q * b for a, b in zip(mat[i], mat[j])]
+            if rng.random() < 0.3:
+                mat[i], mat[j] = mat[j], mat[i]
+    return mat
+
+
+class TestSubgroupKeys:
+    """Exactness by canonical keys against the membership oracle."""
+
+    def test_every_candidate_pair_matches_oracle(self):
+        # free parts included, which the element-level test cannot reach
+        seen = {True: 0, False: 0}
+        for b in CORPUS:
+            fs = [GroupHom(a, b, m) for a in CORPUS
+                  for m in _hom_candidates(a, b, 1)]
+            gs = [GroupHom(b, c, m) for c in CORPUS
+                  for m in _hom_candidates(b, c, 1)]
+            for f in fs:
+                for g in gs:
+                    seq = Sequence((f.source, b, g.target), (f, g))
+                    want = exactness_oracle.check_exact(seq, 1)
+                    assert check_exact(seq, 1) == want, (f, g)
+                    seen[want] += 1
+        # 16956 pairs
+        assert seen[True] > 1000 and seen[False] > 10000
+
+    def test_key_is_canonical(self):
+        rng = random.Random(23)
+        groups = [Z2, FGAbelianGroup.from_invariants(1, (2,)),
+                  FGAbelianGroup.from_invariants(0, (2, 4)),
+                  FGAbelianGroup.from_invariants(2, (3, 6)),
+                  FGAbelianGroup.from_invariants(1, (2, 4, 8))]
+        for _ in range(300):
+            ambient = rng.choice(groups)
+            n = ambient.n_gens
+            gens = [[rng.randint(-6, 6) for _ in range(n)]
+                    for _ in range(rng.randint(0, 4))]
+            key = _subgroup_key(ambient, gens)
+            shuffled = gens + [rng.choice(gens)] if gens else []
+            rng.shuffle(shuffled)
+            assert _subgroup_key(ambient, shuffled) == key
+            if gens:
+                u = unimodular(rng, len(gens))
+                mixed = [[sum(u[i][k] * gens[k][j] for k in range(len(gens)))
+                          for j in range(n)] for i in range(len(gens))]
+                assert _subgroup_key(ambient, mixed) == key
+            # adding a relation vector d_i * e_i changes nothing either
+            for i, d in enumerate(ambient.gen_orders):
+                if d:
+                    rel = [0] * n
+                    rel[i] = rng.randint(-2, 2) * d
+                    assert _subgroup_key(ambient, gens + [rel]) == key
+
+    def test_keys_tell_subgroups_apart(self):
+        # the six subgroups of Z/2 + Z/4 that a single generator spans
+        g24 = FGAbelianGroup.from_invariants(0, (2, 4))
+        spans = [[x] for x in g24.elements()]
+        keys = {}
+        for gens in spans:
+            members = frozenset(
+                g24.reduce((k * gens[0][0], k * gens[0][1]))
+                for k in range(4))
+            keys.setdefault(members, set()).add(_subgroup_key(g24, gens))
+        assert len(keys) == 6
+        assert all(len(ks) == 1 for ks in keys.values())
+        assert len(set().union(*keys.values())) == 6
+
+    def test_relation_row_joins_at_its_column(self):
+        # reducing the row d * e_j mod d before column j is cleared would
+        # drop it and make this pair look inexact
+        g24 = FGAbelianGroup.from_invariants(0, (2, 4))
+        f = GroupHom(g24, g24, ((0, 0), (0, 3)))
+        g = GroupHom(g24, g24, ((0, 0), (2, 0)))
+        seq = Sequence((g24, g24, g24), (f, g))
+        assert exactness_oracle.check_exact(seq, 1)
+        assert check_exact(seq, 1)
+        # both are the Z/4 summand: the lattice of (0, 1) and (2, 0)
+        assert image_key(f) == kernel_key(g) == ((2, 0), (0, 1))
+
+    def test_endpoint_mismatch(self):
+        unknown = UnknownGroup((Z, cyclic(2)))
+        seq = Sequence((Z, unknown, Z),
+                       (GroupHom.identity(Z), GroupHom(cyclic(2), Z,
+                                                       ((0,),))))
+        with pytest.raises(IllDefinedHomError):
+            check_exact(seq, 1)
+        with pytest.raises(IllDefinedHomError):
+            exactness_oracle.check_exact(seq, 1)
+
+
+def rational_solution(mat, vec):
+    """The unique c with mat c == vec over Q for a matrix of full column
+    rank, or None when there is none."""
+    ncols = len(mat[0])
+    a = [[Fraction(v) for v in row] + [Fraction(x)]
+         for row, x in zip(mat, vec)]
+    for c in range(ncols):
+        piv = next(r for r in range(c, len(a)) if a[r][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(len(a)):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    if any(row[-1] for row in a[ncols:]):
+        return None
+    return [a[c][-1] for c in range(ncols)]
+
+
+class TestLatticeMember:
+    """The membership test of the exactness oracle, at its new home."""
+
+    def test_combinations_are_members(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            nrows, ncols = rng.randint(1, 4), rng.randint(0, 4)
+            mat = [[rng.randint(-5, 5) for _ in range(ncols)]
+                   for _ in range(nrows)]
+            coef = [rng.randint(-5, 5) for _ in range(ncols)]
+            vec = [sum(m * c for m, c in zip(row, coef)) for row in mat]
+            assert exactness_oracle._lattice_member(mat, nrows, ncols, vec)
+
+    def test_against_rational_solve(self):
+        # full column rank: vec is a member iff its unique rational
+        # solution is integral
+        rng = random.Random(6)
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 50:
+            nrows = rng.randint(1, 4)
+            ncols = rng.randint(1, nrows)
+            mat = [[rng.randint(-4, 4) for _ in range(ncols)]
+                   for _ in range(nrows)]
+            if rank_over_q(mat) != ncols:
+                continue
+            vec = [rng.randint(-6, 6) for _ in range(nrows)]
+            sol = rational_solution(mat, vec)
+            want = sol is not None and all(c.denominator == 1 for c in sol)
+            got = exactness_oracle._lattice_member(mat, nrows, ncols, vec)
+            assert got == want, (mat, vec)
+            seen[want] += 1
 
 
 class TestSolveExact:
@@ -617,21 +774,21 @@ DIFF_CEILING = 256
 
 @pytest.fixture
 def shared_exactness_memo(monkeypatch):
-    """check_exact memoized by its two maps, for the solver and the oracle.
+    """The oracle's check_exact memoized by its two maps.
 
-    check_exact is pure and has its own oracle test above; one shared memo
-    makes the exhaustive comparison fast without changing what either
-    solver decides or the order in which it searches.
+    The oracle's exactness test is pure and tested on its own above; a
+    memo shared across the cases makes the exhaustive comparison fast
+    without changing what the oracle decides or the order in which it
+    walks.  The library solver does not call check_exact.
     """
     memo = {}
 
     def memoized(seq, at):
         key = (seq.maps[at - 1], seq.maps[at])
         if key not in memo:
-            memo[key] = check_exact(seq, at)
+            memo[key] = exactness_oracle.check_exact(seq, at)
         return memo[key]
 
-    monkeypatch.setattr(abgroup, "check_exact", memoized)
     monkeypatch.setattr(solver_oracle, "check_exact", memoized)
 
 

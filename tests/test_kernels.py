@@ -1,5 +1,8 @@
 """Contracts for the low-level compute kernels in cliffk._kernel_py.
 
+Hermite normal form is checked against the SNF membership test of the
+exactness oracle.
+
 The union-find rank of the intertwiner oracle, the sparse rank of the rank
 oracle and the null space of the center oracle are tested here too.
 """
@@ -10,6 +13,8 @@ import pytest
 
 from center_oracle import sparse_nullspace
 from cliffk import _kernel_py as kern
+from cliffk.errors import BoundExceededError
+from exactness_oracle import _lattice_member
 from intertwiner_oracle import unit_pair_rank
 from rank_oracle import sparse_rank
 
@@ -132,6 +137,74 @@ class TestKernel:
         assert (U, D, V) == ([], [], [])
         U, D, V = kern.snf([[]], 1, 0)
         assert U == [[1]] and D == [[]] and V == []
+
+
+def _spans(gens, moduli, vecs) -> bool:
+    """Whether every vector lies in the lattice of gens and moduli[j] e_j."""
+    n = len(moduli)
+    cols = [list(v) for v in gens]
+    cols += [[d if i == j else 0 for i in range(n)]
+             for j, d in enumerate(moduli) if d]
+    mat = [[col[i] for col in cols] for i in range(n)]
+    return all(_lattice_member(mat, n, len(cols), v) for v in vecs)
+
+
+class TestHermiteNormalForm:
+    def test_examples(self):
+        assert kern.hnf([[2, 4], [6, 8]], (0, 0)) == ((2, 0), (0, 4))
+        assert kern.hnf([[1, 1]], (2, 4)) == ((1, 1), (0, 2))
+        assert kern.hnf([[0, 3]], (2, 4)) == ((2, 0), (0, 1))
+        # the zero subgroup of a torsion group keeps its relation rows
+        assert kern.hnf([], (4,)) == ((4,),)
+        assert kern.hnf([[4]], (4,)) == ((4,),)
+        assert kern.hnf([[-6]], (4,)) == ((2,),)
+        assert kern.hnf([[3]], (4,)) == ((1,),)
+        # a free column need not hold a pivot
+        assert kern.hnf([[0, -3], [0, 2]], (0, 0)) == ((0, 1),)
+        assert kern.hnf([[2, -3]], (0, 0)) == ((2, -3),)
+
+    def test_empty_shapes(self):
+        assert kern.hnf([], ()) == ()
+        assert kern.hnf([[]], ()) == ()
+        assert kern.hnf([[0, 0], [0, 0]], (0, 0)) == ()
+
+    def test_contract(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            moduli = [rng.choice((0, 0, 2, 3, 4, 6)) for _ in range(n)]
+            gens = [[rng.randint(-9, 9) for _ in range(n)]
+                    for _ in range(rng.randint(0, 4))]
+            form = kern.hnf(gens, moduli)
+            pivots = []
+            for row in form:
+                c = next(j for j, v in enumerate(row) if v)
+                assert row[c] > 0
+                assert not pivots or c > pivots[-1]
+                pivots.append(c)
+            for i, c in enumerate(pivots):
+                assert all(0 <= form[r][c] < form[i][c] for r in range(i))
+            assert all(j in pivots for j, d in enumerate(moduli) if d)
+            # the same lattice, both ways
+            assert _spans(gens, moduli, form)
+            assert _spans(form, [0] * n, gens)
+            assert _spans(form, [0] * n,
+                          [[d if i == j else 0 for i in range(n)]
+                           for j, d in enumerate(moduli) if d])
+
+    def test_large_entries(self):
+        big = 10 ** 40
+        # determinant -1: the whole of Z^2
+        assert kern.hnf([[big + 1, big], [big, big - 1]], (0, 0)) == (
+            (1, 0), (0, 1))
+        assert kern.hnf([[big + 1, 0], [big, 1]], (0, 0)) == (
+            (1, big), (0, big + 1))
+        assert kern.hnf([[big]], (6,)) == ((2,),)
+
+    def test_bound(self):
+        # 1025 generators in 1024 free coordinates: 2049 * 1024 > MAX_CELLS
+        with pytest.raises(BoundExceededError):
+            kern.hnf([[0] * 1024] * 1025, (0,) * 1024)
 
 
 class TestUnitPairRankOracle:
