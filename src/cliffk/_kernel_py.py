@@ -222,9 +222,11 @@ def hnf(gens, moduli) -> tuple[tuple[int, ...], ...]:
             rows.append(r)
         piv = None
         rest = []
+        later = [k for k in tors if k > j]
         for r in rows:
             x = r[j]
             if not x:
+                # untouched: still reduced, still nonzero
                 rest.append(r)
             elif piv is None:
                 piv = r
@@ -238,14 +240,11 @@ def hnf(gens, moduli) -> tuple[tuple[int, ...], ...]:
                     ag, xg = a // g, x // g
                     piv, r = ([s * w + t * u for w, u in zip(piv, r)],
                               [xg * w - ag * u for w, u in zip(piv, r)])
-                rest.append(r)
-        rows = []
-        later = [k for k in tors if k > j]
-        for r in rest:
-            for k in later:
-                r[k] %= moduli[k]
-            if any(r):
-                rows.append(r)
+                for k in later:
+                    r[k] %= moduli[k]
+                if any(r):
+                    rest.append(r)
+        rows = rest
         if piv is not None:
             if piv[j] < 0:
                 piv = [-w for w in piv]

@@ -6,13 +6,16 @@ presentation, or by a gcd/lcm sweep from a list of cyclic orders.
 Generators are ordered free-first, then torsion in chain order, so elements
 and homomorphism matrices have a fixed coordinate convention throughout.
 
-Subgroup and quotient computations reduce to integer lattice work: a
-subgroup given by generator columns S inside Z^n / col(R) is presented by
-the relations {c : S c in col(R)}, obtained from the kernel lattice of
-[S | R].  The same subgroup is also the lattice spanned by S and R, whose
+Subgroup and quotient computations reduce to integer lattice work.  For
+isomorphism classes (kernel, image, cokernel), a subgroup given by
+generator columns S inside Z^n / col(R) is presented by the relations
+{c : S c in col(R)}, obtained by SNF from the kernel lattice of [S | R].
+For exactness the same subgroup is the lattice spanned by S and R, whose
 Hermite normal form is a canonical key: two subgroups of a group are equal
 iff their keys are, so exactness is key equality, and the solver buckets
-candidate maps by key instead of testing pairs.
+candidate maps by key instead of testing pairs.  Keys take no SNF: a
+kernel key is read off one HNF (kernel_key), and a subgroup's index is the
+product of its key's pivots (exactness_indices).
 """
 
 from __future__ import annotations
@@ -381,8 +384,20 @@ def image_key(f: GroupHom) -> tuple:
 
 
 def kernel_key(f: GroupHom) -> tuple:
-    """Canonical key of ker f as a subgroup of f.source; one SNF."""
-    return _subgroup_key(f.source, _kernel_gen_columns(f))
+    """Canonical key of ker f as a subgroup of f.source; one HNF, no SNF.
+
+    The rows (F e_j | e_j), one per source generator, and the relation
+    rows of target and source span the lattice L = {(F x + R_t y, x)}:
+    well-definedness puts F R_s inside col(R_t), so the source relations
+    add nothing new.  L meets 0 + Z^ns exactly in ker f, and the HNF rows
+    of L that vanish on the target block are the HNF of that intersection,
+    which is the key.
+    """
+    nt, ns = f.target.n_gens, f.source.n_gens
+    rows = [[row[j] for row in f.matrix] + [int(i == j) for i in range(ns)]
+            for j in range(ns)]
+    form = _kernel.hnf(rows, f.target.gen_orders + f.source.gen_orders)
+    return tuple(r[nt:] for r in form if not any(r[:nt]))
 
 
 @dataclass(frozen=True)
@@ -454,6 +469,25 @@ def _maps_around(seq: Sequence, at: int) -> tuple[GroupHom, GroupHom]:
     return f, g
 
 
+def _keys_around(seq: Sequence, at: int) -> tuple[int, tuple, tuple]:
+    """(generators of the middle term, image key, kernel key) at ``at``."""
+    f, g = _maps_around(seq, at)
+    if f.target != g.source:
+        raise IllDefinedHomError("composition endpoint mismatch")
+    return f.target.n_gens, image_key(f), kernel_key(g)
+
+
+def _key_index(key: tuple, n_gens: int) -> int | None:
+    """Index in Z^n_gens of the lattice a key spans, None if infinite.
+
+    A key of full rank has its pivots on the diagonal, and the index is
+    their product.
+    """
+    if len(key) != n_gens:
+        return None
+    return prod(row[i] for i, row in enumerate(key))
+
+
 def check_exact(seq: Sequence, at: int) -> bool:
     """Exactness at interior term ``at``: image of the incoming map equals
     the kernel of the outgoing one, as subgroups of the middle term.
@@ -469,21 +503,20 @@ def check_exact(seq: Sequence, at: int) -> bool:
     >>> check_exact(seq, 1)
     True
     """
-    f, g = _maps_around(seq, at)
-    if f.target != g.source:
-        raise IllDefinedHomError("composition endpoint mismatch")
-    return image_key(f) == kernel_key(g)
+    _n, img, ker = _keys_around(seq, at)
+    return img == ker
 
 
 def exactness_indices(seq: Sequence, at: int) -> tuple[int | None, int | None]:
     """([middle : image], [middle : kernel]) as orders, None if infinite.
 
-    ``at`` and the maps around it are checked as in check_exact.
+    ``at`` and the maps around it are checked as in check_exact.  Both
+    indices are read off the keys check_exact compares: a subgroup's key
+    spans it together with the middle term's relations, so the subgroup's
+    index in the middle term is the key lattice's index in Z^n.
     """
-    f, g = _maps_around(seq, at)
-    img_idx = cokernel(f).order()
-    ker_idx = image(g).order()
-    return img_idx, ker_idx
+    n, img, ker = _keys_around(seq, at)
+    return _key_index(img, n), _key_index(ker, n)
 
 
 def _entry_ranges(d_src: int, e_tgt: int, bound: int) -> tuple[range, ...]:

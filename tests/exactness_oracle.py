@@ -6,6 +6,10 @@ kernel generator must solve into the image lattice by one SNF each.  It
 shares no key code with the library, so it serves as the exactness check of
 the product-enumeration oracle in tests/solver_oracle.py and as the oracle
 of the key tests.
+
+``kernel_key`` is the SNF route to the kernel key, the body
+``cliffk.abgroup.kernel_key`` had before it read the key off one HNF:
+kernel generators from the SNF of [G | R_target], then their HNF.
 """
 
 from cliffk import _kernel_py as _kernel
@@ -25,6 +29,11 @@ def _lattice_member(mat, nrows: int, ncols: int, vec) -> bool:
         elif w[i]:
             return False
     return True
+
+
+def kernel_key(g) -> tuple:
+    """Canonical key of ker g, by SNF kernel generators and their HNF."""
+    return _kernel.hnf(_kernel_gen_columns(g), g.source.gen_orders)
 
 
 def check_exact(seq: Sequence, at: int) -> bool:

@@ -450,6 +450,17 @@ class TestCheckExact:
                 exactness_indices(seq, at)
         assert exactness_indices(seq, 1) == (None, None)
 
+    def test_exactness_indices_checks_endpoints(self):
+        # an unknown middle term lets the two maps disagree on it
+        unknown = UnknownGroup((Z, cyclic(2)))
+        seq = Sequence((Z, unknown, cyclic(2)),
+                       (GroupHom(Z, Z, ((2,),)),
+                        GroupHom.identity(cyclic(2))))
+        with pytest.raises(IllDefinedHomError):
+            check_exact(seq, 1)
+        with pytest.raises(IllDefinedHomError):
+            exactness_indices(seq, 1)
+
     def test_needs_concrete_maps(self):
         seq = Sequence((Z, Z, Z), (UNKNOWN_MAP, GroupHom.identity(Z)))
         with pytest.raises(ValueError):
@@ -483,6 +494,24 @@ class TestCheckExact:
             seen[want] += 1
         # the sample must exercise both outcomes to mean anything
         assert seen[True] >= 10 and seen[False] >= 10
+
+
+@st.composite
+def well_defined_homs(draw) -> GroupHom:
+    """A map between groups with free and torsion parts, the trivial group
+    included, drawn cell by cell over the well-defined values."""
+    src = draw(TestGroupLayerInputs.GROUPS)
+    tgt = draw(TestGroupLayerInputs.GROUPS)
+    rows = []
+    for e in tgt.gen_orders:
+        row = []
+        for d in src.gen_orders:
+            if e == 0:
+                row.append(draw(st.integers(-6, 6)) if d == 0 else 0)
+            else:
+                row.append(e // gcd(d, e) * draw(st.integers(-6, 6)))
+        rows.append(tuple(row))
+    return GroupHom(src, tgt, tuple(rows))
 
 
 def unimodular(rng: random.Random, n: int) -> list[list[int]]:
@@ -520,6 +549,36 @@ class TestSubgroupKeys:
                     seen[want] += 1
         # 16956 pairs
         assert seen[True] > 1000 and seen[False] > 10000
+
+    def test_kernel_key_matches_snf_route_on_corpus(self):
+        for a, b in itertools.product(CORPUS, repeat=2):
+            for m in _hom_candidates(a, b, 1):
+                g = GroupHom(a, b, m)
+                assert kernel_key(g) == exactness_oracle.kernel_key(g), g
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(g=well_defined_homs())
+    @example(g=GroupHom.zero(TRIV, TRIV))
+    @example(g=GroupHom.zero(TRIV, Z))
+    @example(g=GroupHom.zero(Z2, TRIV))
+    @example(g=GroupHom.zero(cyclic(4), TRIV))
+    def test_kernel_key_matches_snf_route(self, g):
+        assert kernel_key(g) == exactness_oracle.kernel_key(g)
+
+    def test_indices_match_cokernel_and_image(self):
+        # every candidate pair a -> b -> c at bound 1, free parts included
+        for b in CORPUS:
+            fs = [GroupHom(a, b, m) for a in CORPUS
+                  for m in _hom_candidates(a, b, 1)]
+            gs = [GroupHom(b, c, m) for c in CORPUS
+                  for m in _hom_candidates(b, c, 1)]
+            img_idx = [cokernel(f).order() for f in fs]
+            ker_idx = [image(g).order() for g in gs]
+            for f, want_img in zip(fs, img_idx):
+                for g, want_ker in zip(gs, ker_idx):
+                    seq = Sequence((f.source, b, g.target), (f, g))
+                    assert exactness_indices(seq, 1) == (want_img,
+                                                         want_ker), (f, g)
 
     def test_key_is_canonical(self):
         rng = random.Random(23)

@@ -1,5 +1,6 @@
 """Command line behavior: output text, JSON shape, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -325,6 +326,65 @@ class TestErrorPaths:
         assert err.startswith("error: C^{15000,0}: dimension 2**15000 ")
 
 
+class TestDispatch:
+    """The top parser reads the command name; only that command's parser
+    is built."""
+
+    HELP = {"classify": "matrix-algebra form of C^{p,q}",
+            "rpn": "reduced K of real projective n-space",
+            "bott": "point K-group table",
+            "verify": "run a named verification suite",
+            "seq": "check or solve a sequence file"}
+
+    @pytest.mark.parametrize("argv", [
+        ("bott", "--max", "1"), ("--format", "json", "classify", "2", "0"),
+        ("rpn", "3", "--theory", "ku"),
+        ("seq", "sequences/bott_degree0.seq"),
+    ], ids=["bott", "classify", "rpn", "seq"])
+    def test_parsers_built(self, capsys, monkeypatch, argv):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, _out, _err = run(capsys, *argv)
+        assert code == 0
+        # the top parser is built only when a global option comes first
+        assert len(built) == (2 if argv[0].startswith("-") else 1), built
+
+    def test_top_help_lists_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, help_line in self.HELP.items():
+            assert any(line.split()[:1] == [name] and help_line in line
+                       for line in lines), name
+
+    def test_missing_command_names_it(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: "
+                            "command\n")
+
+    def test_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_command_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bott", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cliffk bott ")
+
+
 class TestSizeBound:
     """Over-bound inputs exit 2 at once, before any large construction."""
 
@@ -363,23 +423,36 @@ class TestSizeBound:
         assert code == 0
         assert out == "exact at all checked positions\n"
 
-    @pytest.mark.parametrize("rank,expect", [(2000, 2), (1000, 0)])
-    def test_smith_normal_form_bound(self, capsys, tmp_path, rank, expect):
-        # checking exactness at B runs SNF on the 1 x rank matrix of f, with
-        # rank**2 + 1 transform entries: 1000 fits MAX_CELLS, 2000 does not
+    @pytest.mark.parametrize("rank", [2000, 1000])
+    def test_smith_normal_form_bound(self, capsys, tmp_path, rank):
+        # check mode runs no SNF: im f is keyed by one HNF in B's single
+        # coordinate, so the wide map that an SNF of f refused at 2000 is
+        # now checked, as it is at 1000
         row = [1] + [0] * (rank - 1)
         path = tmp_path / "wide_map.seq"
         path.write_text(f"term A = Z^{rank}\nterm B = Z\nterm C = 0\n"
                         f"map f : A -> B = [{row}]\n"
                         "map g : B -> C = [[0]]\ncheck exact at B\n")
         start = time.perf_counter()
+        code, out, _err = run(capsys, "seq", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out.startswith("exact at B\n")
+
+    def test_wide_middle_group_refused(self, capsys, tmp_path):
+        # the keys of a middle group with 2000 generators are HNFs in 2000
+        # coordinates, past MAX_CELLS
+        path = tmp_path / "wide_middle.seq"
+        path.write_text("term A = 0\nterm B = Z^2000\nterm C = Z\n"
+                        "map f : A -> B = [[0]]\n"
+                        f"map g : B -> C = [{[1] + [0] * 1999}]\n"
+                        "check exact at B\n")
+        start = time.perf_counter()
         code, out, err = run(capsys, "seq", str(path))
         assert time.perf_counter() - start < 1
-        assert code == expect
-        if expect:
-            assert err.startswith(f"error: Smith normal form of a 1 x {rank} ")
-        else:
-            assert out.startswith("exact at B\n")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Hermite normal form of ")
 
     def test_group_literal_over_bound(self, capsys, tmp_path):
         path = tmp_path / "huge.seq"
