@@ -11,8 +11,8 @@ one pure-Python kernel module, cliffk._kernel_py.
 
 from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
                       UnknownGroup, UnknownMap, check_exact, cokernel,
-                      exactness_indices, image, kernel, smith_normal_form,
-                      solve_exact)
+                      exactness_at, exactness_indices, image, kernel,
+                      smith_normal_form, solve_exact)
 from .blades import (CliffordElement, Signature, TensorElement, blade_grade,
                      blade_mul, blade_name, center_basis, elem_mul,
                      tensor_mul, top_element)
@@ -52,7 +52,7 @@ __all__ = [
     "ThomStabilityReport", "UNKNOWN_MAP", "UnitPermMatrix", "UnknownGroup",
     "UnknownMap", "adams_f", "blade_grade", "blade_mul", "blade_name",
     "bott_sequence_instance", "build_rep", "center_basis", "check_exact",
-    "check_relations", "classify", "cokernel", "elem_mul",
+    "check_relations", "classify", "cokernel", "elem_mul", "exactness_at",
     "exactness_indices", "fiber_twist_check", "forgetful_k_map", "image",
     "irrep_dims", "irrep_end_dim", "k0", "kernel", "min_faithful_dim",
     "parse_sequence_file", "periodicity_shapes", "point_k", "reduced_k_rpn",

@@ -469,14 +469,6 @@ def _maps_around(seq: Sequence, at: int) -> tuple[GroupHom, GroupHom]:
     return f, g
 
 
-def _keys_around(seq: Sequence, at: int) -> tuple[int, tuple, tuple]:
-    """(generators of the middle term, image key, kernel key) at ``at``."""
-    f, g = _maps_around(seq, at)
-    if f.target != g.source:
-        raise IllDefinedHomError("composition endpoint mismatch")
-    return f.target.n_gens, image_key(f), kernel_key(g)
-
-
 def _key_index(key: tuple, n_gens: int) -> int | None:
     """Index in Z^n_gens of the lattice a key spans, None if infinite.
 
@@ -488,12 +480,30 @@ def _key_index(key: tuple, n_gens: int) -> int | None:
     return prod(row[i] for i, row in enumerate(key))
 
 
+def exactness_at(seq: Sequence, at: int) -> tuple[bool, int | None,
+                                                  int | None]:
+    """(exact at ``at``, [middle : image], [middle : kernel]), from one
+    image key and one kernel key.
+
+    Exactness is equality of the keys (image_key, kernel_key).  A
+    subgroup's key spans it together with the middle term's relations, so
+    the subgroup's index in the middle term, None if infinite, is the key
+    lattice's index in Z^n.  The maps around ``at`` must be concrete and
+    meet at the middle term.
+    """
+    f, g = _maps_around(seq, at)
+    if f.target != g.source:
+        raise IllDefinedHomError("composition endpoint mismatch")
+    n, img, ker = f.target.n_gens, image_key(f), kernel_key(g)
+    return img == ker, _key_index(img, n), _key_index(ker, n)
+
+
 def check_exact(seq: Sequence, at: int) -> bool:
     """Exactness at interior term ``at``: image of the incoming map equals
     the kernel of the outgoing one, as subgroups of the middle term.
 
-    Decided by comparing their canonical keys (image_key, kernel_key).
-    Image equal to kernel already forces the composite to be zero, so no
+    Decided by comparing their canonical keys, as in exactness_at.  Image
+    equal to kernel already forces the composite to be zero, so no
     composition is formed.
 
     >>> Z = FGAbelianGroup.free(1)
@@ -503,20 +513,13 @@ def check_exact(seq: Sequence, at: int) -> bool:
     >>> check_exact(seq, 1)
     True
     """
-    _n, img, ker = _keys_around(seq, at)
-    return img == ker
+    return exactness_at(seq, at)[0]
 
 
 def exactness_indices(seq: Sequence, at: int) -> tuple[int | None, int | None]:
-    """([middle : image], [middle : kernel]) as orders, None if infinite.
-
-    ``at`` and the maps around it are checked as in check_exact.  Both
-    indices are read off the keys check_exact compares: a subgroup's key
-    spans it together with the middle term's relations, so the subgroup's
-    index in the middle term is the key lattice's index in Z^n.
-    """
-    n, img, ker = _keys_around(seq, at)
-    return _key_index(img, n), _key_index(ker, n)
+    """([middle : image], [middle : kernel]) as orders, None if infinite;
+    read off the keys check_exact compares (see exactness_at)."""
+    return exactness_at(seq, at)[1:]
 
 
 def _entry_ranges(d_src: int, e_tgt: int, bound: int) -> tuple[range, ...]:

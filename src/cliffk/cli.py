@@ -2,9 +2,9 @@
 
 Subcommands map one-to-one onto library calls, listed in _COMMANDS; every
 command honors --format text|json (accepted both before and after the
-subcommand, the subcommand's value winning).  A call builds at most two
-argument parsers: one for the global --format and the command name, built
-only when an option comes first, and one for the named command alone.
+subcommand, the subcommand's value winning).  A call builds two argument
+parsers: one for the global --format and the command name, and one for the
+named command alone.
 Exit codes: 0 success or all checks passing, 1 a computed check failing,
 2 usage, parse, or search-space errors, and 141 (128 + SIGPIPE, as a
 shell reports a writer killed by a closed pipe)
@@ -18,8 +18,7 @@ import json
 import os
 import sys
 
-from .abgroup import (UnknownGroup, UnknownMap, check_exact,
-                      exactness_indices, solve_exact)
+from .abgroup import UnknownGroup, UnknownMap, exactness_at, solve_exact
 from .blades import Signature
 from .errors import CliffkError
 from .ktheory import (KTheory, fiber_twist_check, point_k, reduced_k_rpn,
@@ -202,10 +201,7 @@ def _cmd_seq(args, fmt: str) -> int:
         positions = [sf.term_names[i] for i in range(1, len(sf.term_names) - 1)]
     results = []
     for name in positions:
-        at = sf.term_names.index(name)
-        ok = check_exact(seq, at)
-        img_idx, ker_idx = exactness_indices(seq, at)
-        results.append((name, ok, img_idx, ker_idx))
+        results.append((name, *exactness_at(seq, sf.term_names.index(name))))
     passed = all(ok for _n, ok, _i, _k in results)
     if fmt == "json":
         print(json.dumps({
@@ -260,23 +256,16 @@ def _parse(argv):
 
     The top parser reads the global --format and the command name, and
     hands everything after the name to a parser for that command alone,
-    so one call builds at most two parsers whatever the number of
-    commands.  When the first argument is a command name, no global option
-    precedes it and the top parser would return it and the rest as they
-    are, so it is not built.
+    so one call builds two parsers whatever the number of commands.
     """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMANDS:
-        global_format, (name, *rest) = None, argv
-    else:
-        outer = _top_parser().parse_args(argv)
-        global_format, (name, *rest) = outer.format, outer.command
+    outer = _top_parser().parse_args(argv)
+    name, *rest = outer.command
     _help_line, add_arguments, handler = _COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"cliffk {name}")
     add_arguments(parser)
     _add_format(parser)
     args = parser.parse_args(rest)
-    return args, args.format or global_format or "text", handler
+    return args, args.format or outer.format or "text", handler
 
 
 def main(argv=None) -> int:

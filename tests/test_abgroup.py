@@ -22,6 +22,7 @@ from cliffk.abgroup import (
     _subgroup_key,
     check_exact,
     cokernel,
+    exactness_at,
     exactness_indices,
     image,
     image_key,
@@ -407,6 +408,8 @@ class TestCheckExact:
         assert not check_exact(seq, 1)
         assert check_exact(seq, 2)
         assert exactness_indices(seq, 1) == (4, 2)
+        assert exactness_at(seq, 1) == (False, 4, 2)
+        assert exactness_at(seq, 2) == (True, 1, 1)
 
     def test_isomorphism_flanked_by_zeros(self):
         def flanked(mid_matrix):
