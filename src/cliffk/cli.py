@@ -1,13 +1,10 @@
 """Command line surface.
 
-Subcommands map one-to-one onto library calls, listed in _COMMANDS; every
-command honors --format text|json (accepted both before and after the
-subcommand, the subcommand's value winning).  A call builds two argument
-parsers: one for the global --format and the command name, and one for the
-named command alone.
-Exit codes: 0 success or all checks passing, 1 a computed check failing,
-2 usage, parse, or search-space errors, and 141 (128 + SIGPIPE, as a
-shell reports a writer killed by a closed pipe)
+Subcommands map one-to-one onto library calls; every command honors
+--format text|json (accepted both before and after the subcommand, the
+subcommand's value winning).  Exit codes: 0 success or all checks passing,
+1 a computed check failing, 2 usage, parse, or search-space errors, and
+141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
 when the reader closes stdout early, as ``| head`` does.
 """
 
@@ -46,34 +43,49 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_format(parser):
-    parser.add_argument("--format", choices=("text", "json"),
+def _add_format(parser, dest):
+    parser.add_argument("--format", dest=dest, choices=("text", "json"),
                         default=None, help="output format")
 
 
-def _classify_args(p):
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cliffk",
+        description="exact Clifford-algebra and point K-theory calculator")
+    _add_format(parser, "format_global")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("classify", help="matrix-algebra form of C^{p,q}")
     p.add_argument("p", type=_nonneg_int)
     p.add_argument("q", type=_nonneg_int)
     p.add_argument("--field", choices=sorted(_FIELDS), default="r")
+    _add_format(p, "format_sub")
+    p.set_defaults(handler=_cmd_classify)
 
-
-def _rpn_args(p):
+    p = sub.add_parser("rpn", help="reduced K of real projective n-space")
     p.add_argument("n", type=_positive_int)
     p.add_argument("--theory", choices=sorted(_THEORIES), default="ko")
+    _add_format(p, "format_sub")
+    p.set_defaults(handler=_cmd_rpn)
 
-
-def _bott_args(p):
+    p = sub.add_parser("bott", help="point K-group table")
     p.add_argument("--max", dest="max_degree", type=_nonneg_int, default=7)
     p.add_argument("--theory", choices=sorted(_THEORIES), default="ko")
+    _add_format(p, "format_sub")
+    p.set_defaults(handler=_cmd_bott)
 
-
-def _verify_args(p):
+    p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True,
                    choices=("morita", "untwist", "thom", "fiber"))
+    _add_format(p, "format_sub")
+    p.set_defaults(handler=_cmd_verify)
 
-
-def _seq_args(p):
+    p = sub.add_parser("seq", help="check or solve a sequence file")
     p.add_argument("file")
+    _add_format(p, "format_sub")
+    p.set_defaults(handler=_cmd_seq)
+
+    return parser
 
 
 def _cmd_classify(args, fmt: str) -> int:
@@ -224,54 +236,12 @@ def _cmd_seq(args, fmt: str) -> int:
     return 0 if passed else 1
 
 
-# command name -> (help line, adds its arguments, handler)
-_COMMANDS = {
-    "classify": ("matrix-algebra form of C^{p,q}", _classify_args,
-                 _cmd_classify),
-    "rpn": ("reduced K of real projective n-space", _rpn_args, _cmd_rpn),
-    "bott": ("point K-group table", _bott_args, _cmd_bott),
-    "verify": ("run a named verification suite", _verify_args, _cmd_verify),
-    "seq": ("check or solve a sequence file", _seq_args, _cmd_seq),
-}
-
-
-def _top_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="cliffk",
-        description="exact Clifford-algebra and point K-theory calculator",
-        epilog="commands:\n" + "\n".join(
-            f"  {name:<10}{help_line}"
-            for name, (help_line, *_rest) in _COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_format(top)
-    # PARSER takes the command name and every string after it, options
-    # included, as subparsers do; choices apply to the name alone
-    top.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS,
-                     metavar="command", help="one of the commands below")
-    return top
-
-
-def _parse(argv):
-    """(command arguments, format, handler), parsed in two steps.
-
-    The top parser reads the global --format and the command name, and
-    hands everything after the name to a parser for that command alone,
-    so one call builds two parsers whatever the number of commands.
-    """
-    outer = _top_parser().parse_args(argv)
-    name, *rest = outer.command
-    _help_line, add_arguments, handler = _COMMANDS[name]
-    parser = argparse.ArgumentParser(prog=f"cliffk {name}")
-    add_arguments(parser)
-    _add_format(parser)
-    args = parser.parse_args(rest)
-    return args, args.format or outer.format or "text", handler
-
-
 def main(argv=None) -> int:
-    args, fmt, handler = _parse(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    fmt = args.format_sub or args.format_global or "text"
     try:
-        return handler(args, fmt)
+        return args.handler(args, fmt)
     except CliffkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,5 @@
 """Command line behavior: output text, JSON shape, exit codes."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -337,64 +336,6 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("error: C^{15000,0}: dimension 2**15000 ")
-
-
-class TestDispatch:
-    """The top parser reads the command name; only that command's parser
-    is built."""
-
-    HELP = {"classify": "matrix-algebra form of C^{p,q}",
-            "rpn": "reduced K of real projective n-space",
-            "bott": "point K-group table",
-            "verify": "run a named verification suite",
-            "seq": "check or solve a sequence file"}
-
-    @pytest.mark.parametrize("argv", [
-        ("bott", "--max", "1"), ("--format", "json", "classify", "2", "0"),
-        ("rpn", "3", "--theory", "ku"),
-        ("seq", "sequences/bott_degree0.seq"),
-    ], ids=["bott", "classify", "rpn", "seq"])
-    def test_parsers_built(self, capsys, monkeypatch, argv):
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        code, _out, _err = run(capsys, *argv)
-        assert code == 0
-        assert len(built) <= 2, built
-
-    def test_top_help_lists_commands(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        lines = capsys.readouterr().out.splitlines()
-        for name, help_line in self.HELP.items():
-            assert any(line.split()[:1] == [name] and help_line in line
-                       for line in lines), name
-
-    def test_missing_command_names_it(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.endswith("error: the following arguments are required: "
-                            "command\n")
-
-    def test_unknown_command(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bogus"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
-
-    def test_command_help(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bott", "--help"])
-        assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: cliffk bott ")
 
 
 class TestSizeBound:
