@@ -6,14 +6,24 @@ subcommand's value winning).  Exit codes: 0 success or all checks passing,
 1 a computed check failing, 2 usage, parse, or search-space errors, and
 141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
 when the reader closes stdout early, as ``| head`` does.
+
+The command line is read against one table of the five commands (see
+``_commands``) in one pass over the tokens, with the rules of the argparse
+parser it replaced: ``--flag value`` or ``--flag=value``, a unique prefix of
+a long option, ``--`` ending the options, ``-1`` and ``-`` as positionals,
+the last of a repeated option winning, and ``-h``/``--help`` at the top or
+after a command.  A usage error prints the usage line and ``PROG: error:``
+on stderr and exits 2.  tests/cli_oracle.py keeps that argparse parser as
+the reference the table parser is tested against.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .abgroup import UnknownGroup, UnknownMap, exactness_at, solve_exact
 from .blades import Signature
@@ -28,64 +38,243 @@ from .structure import classify
 _FIELDS = {"r": ScalarField.REAL, "c": ScalarField.COMPLEX}
 _THEORIES = {"ko": KTheory.KO, "ku": KTheory.KU}
 
+_HELP = ("-h", "--help")
+_REQUIRED = object()  # the default of an option that must be given
+_FORMAT = ("format", ("text", "json"), None)  # every command's --format
+
+
+class _UsageError(Exception):
+    """A command line that the command table does not accept."""
+
 
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"{text} is negative")
+        raise _UsageError(f"{text} is negative")
     return value
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
+        raise _UsageError(f"{text} is not positive")
     return value
 
 
-def _add_format(parser, dest):
-    parser.add_argument("--format", dest=dest, choices=("text", "json"),
-                        default=None, help="output format")
+def _commands() -> dict:
+    """The command table: name -> (help line, positionals as (dest,
+    converter), options as flag -> (dest, converter, default), handler).
+
+    A converter is a function of the argument's text or a tuple of the
+    texts it accepts.  An option whose default is _REQUIRED must be given.
+    Every command also takes --format (_FORMAT).
+    """
+    theory = ("theory", tuple(sorted(_THEORIES)), "ko")
+    return {
+        "classify": ("matrix-algebra form of C^{p,q}",
+                     (("p", _nonneg_int), ("q", _nonneg_int)),
+                     {"--field": ("field", tuple(sorted(_FIELDS)), "r")},
+                     _cmd_classify),
+        "rpn": ("reduced K of real projective n-space",
+                (("n", _positive_int),), {"--theory": theory}, _cmd_rpn),
+        "bott": ("point K-group table", (),
+                 {"--max": ("max_degree", _nonneg_int, 7),
+                  "--theory": theory}, _cmd_bott),
+        "verify": ("run a named verification suite", (),
+                   {"--suite": ("suite", ("morita", "untwist", "thom",
+                                          "fiber"), _REQUIRED)},
+                   _cmd_verify),
+        "seq": ("check or solve a sequence file", (("file", str),), {},
+                _cmd_seq),
+    }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cliffk",
-        description="exact Clifford-algebra and point K-theory calculator")
-    _add_format(parser, "format_global")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option(token: str, flags) -> tuple | None:
+    """How argparse reads one token against one parser's flags.
 
-    p = sub.add_parser("classify", help="matrix-algebra form of C^{p,q}")
-    p.add_argument("p", type=_nonneg_int)
-    p.add_argument("q", type=_nonneg_int)
-    p.add_argument("--field", choices=sorted(_FIELDS), default="r")
-    _add_format(p, "format_sub")
-    p.set_defaults(handler=_cmd_classify)
+    None: a positional.  (flag, text): the known flag, with the text after
+    its "=" or, for "-hXYZ", the text after "-h" (else None).
+    (None, None): an unknown option.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, text = token.partition("=")
+    if eq and name in flags:
+        return name, text
+    if token[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match "
+                              + ", ".join(matches))
+        if matches:
+            return matches[0], text if eq else None
+    elif token[:2] == "-h":
+        return "-h", token[2:]
+    if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None
+    return None, None
 
-    p = sub.add_parser("rpn", help="reduced K of real projective n-space")
-    p.add_argument("n", type=_positive_int)
-    p.add_argument("--theory", choices=sorted(_THEORIES), default="ko")
-    _add_format(p, "format_sub")
-    p.set_defaults(handler=_cmd_rpn)
 
-    p = sub.add_parser("bott", help="point K-group table")
-    p.add_argument("--max", dest="max_degree", type=_nonneg_int, default=7)
-    p.add_argument("--theory", choices=sorted(_THEORIES), default="ko")
-    _add_format(p, "format_sub")
-    p.set_defaults(handler=_cmd_bott)
+def _events(tokens: list[str], flags):
+    """Walk one parser's tokens; yield (i, flag, text), i the index of the
+    next token.
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=("morita", "untwist", "thom", "fiber"))
-    _add_format(p, "format_sub")
-    p.set_defaults(handler=_cmd_verify)
+    flag None: text is a positional.  flag "--": the first "--", after which
+    every token is a positional.  flag in flags: that option with its
+    argument (None for help).  Any other flag is an unknown option, text
+    None.  As in argparse, every token before the first "--" is read before
+    anything is yielded, so an ambiguous prefix there beats an earlier -h.
+    """
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token, flags) for token in tokens[:cut]]
+    i = 0
+    while i < cut:
+        kind = kinds[i]
+        i += 1
+        if kind is None:
+            yield i, None, tokens[i - 1]
+            continue
+        flag, text = kind
+        if flag is None:
+            yield i, tokens[i - 1], None
+        elif flag in _HELP:
+            # "-hh" is help twice; any other text after -h or --help= is not
+            rest = text.lstrip("h") if flag == "-h" and text else text
+            if text is not None and (rest or not text):
+                raise _UsageError("argument -h/--help: ignored explicit "
+                                  f"argument {rest!r}")
+            yield i, flag, None
+        else:
+            if text is None:
+                if i == cut or kinds[i] is not None:
+                    raise _UsageError(f"argument {flag}: expected one argument")
+                text = tokens[i]
+                i += 1
+            yield i, flag, text
+    if cut < len(tokens):
+        yield cut + 1, "--", None
+        for i in range(cut + 1, len(tokens)):
+            yield i + 1, None, tokens[i]
 
-    p = sub.add_parser("seq", help="check or solve a sequence file")
-    p.add_argument("file")
-    _add_format(p, "format_sub")
-    p.set_defaults(handler=_cmd_seq)
 
-    return parser
+def _convert(name: str, converter, text: str):
+    if isinstance(converter, tuple):
+        if text in converter:
+            return text
+        raise _UsageError(f"argument {name}: invalid choice: {text!r} "
+                          f"(choose from {', '.join(map(repr, converter))})")
+    try:
+        return converter(text)
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid int value: "
+                          f"{text!r}") from None
+    except _UsageError as exc:
+        raise _UsageError(f"argument {name}: {exc}") from None
+
+
+def _usage(prog: str, options: dict, tail: list[str]) -> str:
+    parts = [f"usage: {prog} [-h]"]
+    for flag, (dest, converter, default) in options.items():
+        if isinstance(converter, tuple):
+            part = f"{flag} {{{','.join(converter)}}}"
+        else:
+            part = f"{flag} {dest.upper()}"
+        parts.append(part if default is _REQUIRED else f"[{part}]")
+    return " ".join(parts + tail)
+
+
+def _help(usage: str, text: str):
+    print(f"{usage}\n\n{text}")
+    raise SystemExit(0)
+
+
+def _refuse(usage: str, message: str):
+    print(f"{usage}\n{message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv: list[str]):
+    """(handler, args, format) for argv.  Help raises SystemExit(0) and a
+    usage error SystemExit(2), at the token where argparse would stop."""
+    table = _commands()
+    prog = "cliffk"
+    usage = top_usage = _usage(prog, {"--format": _FORMAT},
+                               ["{" + ",".join(table) + "}", "..."])
+    top_format = command = None
+    extras = []
+    try:
+        for i, flag, text in _events(argv, (*_HELP, "--format")):
+            if flag is None:
+                command = text
+                break
+            if flag == "--":
+                # argparse takes a "--" before the command as its name
+                command = "--" if i < len(argv) else None
+                break
+            if flag in _HELP:
+                lines = [f"  {name:9s} {entry[0]}"
+                         for name, entry in table.items()]
+                _help(usage, "exact Clifford-algebra and point K-theory "
+                      "calculator\n\ncommands:\n" + "\n".join(lines)
+                      + "\n\n--format may also follow the command, and "
+                      "then wins")
+            elif flag == "--format":
+                top_format = _convert(flag, _FORMAT[1], text)
+            else:
+                extras.append(flag)
+        if command is None:
+            raise _UsageError("the following arguments are required: command")
+        if command not in table:
+            raise _UsageError(
+                f"argument command: invalid choice: {command!r} (choose "
+                f"from {', '.join(map(repr, table))})")
+
+        help_line, positionals, options, handler = table[command]
+        options = {**options, "--format": _FORMAT}
+        prog = f"cliffk {command}"
+        usage = _usage(prog, options, [dest for dest, _c in positionals])
+        args = {dest: default for dest, _c, default in options.values()}
+        pending = list(positionals)
+        # as in argparse, a "--" is unrecognized unless a positional was
+        # read after the last option
+        since_option = separated = False
+        for _i, flag, text in _events(argv[i:], (*_HELP, *options)):
+            if flag is None:
+                if pending:
+                    dest, converter = pending.pop(0)
+                    args[dest] = _convert(dest, converter, text)
+                    since_option = True
+                else:
+                    extras.append(text)
+                continue
+            if flag == "--":
+                separated = True
+                continue
+            since_option = False
+            if flag in _HELP:
+                _help(usage, help_line)
+            elif flag in options:
+                dest, converter, _default = options[flag]
+                args[dest] = _convert(flag, converter, text)
+            else:
+                extras.append(flag)
+        missing = [dest for dest, _c in pending] + [
+            flag for flag, (dest, _c, _d) in options.items()
+            if args[dest] is _REQUIRED]
+        if missing:
+            raise _UsageError("the following arguments are required: "
+                              + ", ".join(missing))
+        if separated and not since_option:
+            extras.append("--")
+    except _UsageError as exc:
+        _refuse(usage, f"{prog}: error: {exc}")
+    if extras:
+        _refuse(top_usage, f"cliffk: error: unrecognized arguments: "
+                + " ".join(extras))
+    fmt = args.pop("format") or top_format or "text"
+    return handler, SimpleNamespace(**args), fmt
 
 
 def _cmd_classify(args, fmt: str) -> int:
@@ -237,11 +426,9 @@ def _cmd_seq(args, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    fmt = args.format_sub or args.format_global or "text"
+    handler, args, fmt = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.handler(args, fmt)
+        return handler(args, fmt)
     except CliffkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,21 @@
 """Command line behavior: output text, JSON shape, exit codes."""
 
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cliffk import abgroup
+import cli_oracle
+from cliffk import abgroup, cli
 from cliffk.cli import main
 
 SEQUENCES = Path(__file__).resolve().parent.parent / "sequences"
@@ -31,6 +37,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exits(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 class TestClassify:
@@ -430,3 +443,119 @@ class TestSizeBound:
         code, _out, err = run(capsys, "seq", str(path))
         assert code == 2
         assert err == "error: line 1: integer of 5000 digits is too long\n"
+
+
+# every token form the command line reads, in the commands' own vocabulary
+ALPHABET = ("classify", "rpn", "bott", "verify", "seq", "--format", "--form",
+            "--f", "--format=json", "json", "xml", "--max", "--max=4", "3",
+            "-1", "x", "--theory", "--the", "ku", "--field", "c", "--suite",
+            "morita", "-", "--", "-h", "sequences/bott_degree0.seq")
+
+
+def outcome(parse, argv):
+    """"help" (exit 0), "usage" (exit 2), or what parse returned."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return parse(list(argv))
+    except SystemExit as exc:
+        return {0: "help", 2: "usage"}[exc.code]
+
+
+def table_parse(argv):
+    handler, args, fmt = cli._parse(argv)
+    return handler, fmt, vars(args)
+
+
+@pytest.fixture(scope="class")
+def oracle_parse():
+    parser = cli_oracle._build_parser()
+
+    def parse(argv):
+        dests = vars(parser.parse_args(argv))
+        del dests["command"]
+        handler = dests.pop("handler")
+        sub, top = dests.pop("format_sub"), dests.pop("format_global")
+        return handler, sub or top or "text", dests
+    return parse
+
+
+class TestAgainstArgparseOracle:
+    """The table parser refuses, helps or accepts exactly where argparse
+    does, with the same handler, format and arguments."""
+
+    def test_every_argv_up_to_three_tokens(self, oracle_parse):
+        for n in range(4):
+            for argv in itertools.product(ALPHABET, repeat=n):
+                assert (outcome(table_parse, argv)
+                        == outcome(oracle_parse, argv)), argv
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(ALPHABET), min_size=4, max_size=7))
+    def test_longer_argv(self, oracle_parse, argv):
+        assert outcome(table_parse, argv) == outcome(oracle_parse, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["-hh"], ["-h=h"], ["-hx"], ["-h="], ["--help=x"], ["--he"],
+        ["-h", "--=x"], ["classify", "-h", "--f"],
+        ["seq", "- x"], ["seq", "--x y"], ["seq", ""], ["seq", "-5."],
+        ["bott", "--max", "-5.5"], ["bott", "--max="],
+        ["seq", "f", "--"], ["seq", "f", "--format", "json", "--"],
+    ], ids=repr)
+    def test_forms_outside_the_alphabet(self, oracle_parse, argv):
+        assert outcome(table_parse, argv) == outcome(oracle_parse, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["bott", "--max=--"], ["--format=--", "bott"], ["verify", "--suite=--"],
+    ], ids=repr)
+    def test_double_dash_as_value_refused(self, oracle_parse, argv):
+        # argparse drops the "--" of "--flag=--" and stores [], which
+        # bott then fails on and verify reads as the fiber suite
+        assert outcome(oracle_parse, argv) != "usage"
+        assert outcome(table_parse, argv) == "usage"
+
+
+class TestHelpAndUsage:
+    def test_top_help_lists_commands(self, capsys):
+        code, out, _err = exits(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: cliffk ")
+        for name, (help_line, *_rest) in cli._commands().items():
+            assert f"  {name}" in out
+            assert help_line in out
+
+    def test_command_help(self, capsys):
+        code, out, err = exits(capsys, "bott", "--help")
+        assert code == 0
+        assert out.startswith("usage: cliffk bott ")
+        assert err == ""
+
+    def test_missing_command_names_it(self, capsys):
+        code, out, err = exits(capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: cliffk ")
+        assert "cliffk: error: " in err
+        assert "command" in err
+
+    def test_ambiguous_prefix_refused(self, capsys):
+        code, _out, err = exits(capsys, "classify", "1", "1", "--f", "json")
+        assert code == 2
+        assert "ambiguous option: --f could match --field, --format" in err
+
+    def test_no_argparse_in_a_fresh_process(self):
+        # argparse's first message lookup imports gettext and locale, which
+        # cost a fresh process more than parsing itself
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, io, contextlib\n"
+                "import cliffk.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cliffk.cli.main(['bott', '--max', '3']) == 0\n"
+                "print(sorted({'argparse', 'gettext', 'locale'}"
+                " & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

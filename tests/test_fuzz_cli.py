@@ -18,7 +18,7 @@ LITERAL = st.integers(0, 10**12)
 def exit_code(capsys, *argv) -> int:
     try:
         code = main([str(a) for a in argv])
-    except SystemExit as exc:  # argparse usage errors
+    except SystemExit as exc:  # usage errors
         code = exc.code
     capsys.readouterr()
     return code
