@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -112,9 +111,18 @@ def _option(token: str, flags) -> tuple | None:
             return matches[0], text if eq else None
     elif token[:2] == "-h":
         return "-h", token[2:]
-    if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+    if " " in token or _negative_number(token):
         return None
     return None, None
+
+
+def _negative_number(token: str) -> bool:
+    """argparse's match of ``^-\\d+$|^-\\d*\\.\\d+$``, without compiling a
+    regular expression in every process."""
+    body = token[1:].removesuffix("\n")  # "$" also matches before a last \n
+    whole, dot, frac = body.partition(".")
+    return body.isdecimal() or (
+        bool(dot) and frac.isdecimal() and (not whole or whole.isdecimal()))
 
 
 def _events(tokens: list[str], flags):
@@ -175,6 +183,7 @@ def _convert(name: str, converter, text: str):
 
 
 def _usage(prog: str, options: dict, tail: list[str]) -> str:
+    """The usage line of one parser level, (prog, options, tail)."""
     parts = [f"usage: {prog} [-h]"]
     for flag, (dest, converter, default) in options.items():
         if isinstance(converter, tuple):
@@ -185,13 +194,13 @@ def _usage(prog: str, options: dict, tail: list[str]) -> str:
     return " ".join(parts + tail)
 
 
-def _help(usage: str, text: str):
-    print(f"{usage}\n\n{text}")
+def _help(level: tuple, text: str):
+    print(f"{_usage(*level)}\n\n{text}")
     raise SystemExit(0)
 
 
-def _refuse(usage: str, message: str):
-    print(f"{usage}\n{message}", file=sys.stderr)
+def _refuse(level: tuple, message):
+    print(f"{_usage(*level)}\n{level[0]}: error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
 
@@ -199,9 +208,9 @@ def _parse(argv: list[str]):
     """(handler, args, format) for argv.  Help raises SystemExit(0) and a
     usage error SystemExit(2), at the token where argparse would stop."""
     table = _commands()
-    prog = "cliffk"
-    usage = top_usage = _usage(prog, {"--format": _FORMAT},
-                               ["{" + ",".join(table) + "}", "..."])
+    # (prog, options, positionals) of the level being read, for its usage
+    level = top = ("cliffk", {"--format": _FORMAT},
+                   ["{" + ",".join(table) + "}", "..."])
     top_format = command = None
     extras = []
     try:
@@ -216,7 +225,7 @@ def _parse(argv: list[str]):
             if flag in _HELP:
                 lines = [f"  {name:9s} {entry[0]}"
                          for name, entry in table.items()]
-                _help(usage, "exact Clifford-algebra and point K-theory "
+                _help(top, "exact Clifford-algebra and point K-theory "
                       "calculator\n\ncommands:\n" + "\n".join(lines)
                       + "\n\n--format may also follow the command, and "
                       "then wins")
@@ -233,8 +242,8 @@ def _parse(argv: list[str]):
 
         help_line, positionals, options, handler = table[command]
         options = {**options, "--format": _FORMAT}
-        prog = f"cliffk {command}"
-        usage = _usage(prog, options, [dest for dest, _c in positionals])
+        level = (f"cliffk {command}", options,
+                 [dest for dest, _c in positionals])
         args = {dest: default for dest, _c, default in options.values()}
         pending = list(positionals)
         # as in argparse, a "--" is unrecognized unless a positional was
@@ -254,7 +263,7 @@ def _parse(argv: list[str]):
                 continue
             since_option = False
             if flag in _HELP:
-                _help(usage, help_line)
+                _help(level, help_line)
             elif flag in options:
                 dest, converter, _default = options[flag]
                 args[dest] = _convert(flag, converter, text)
@@ -269,10 +278,9 @@ def _parse(argv: list[str]):
         if separated and not since_option:
             extras.append("--")
     except _UsageError as exc:
-        _refuse(usage, f"{prog}: error: {exc}")
+        _refuse(level, exc)
     if extras:
-        _refuse(top_usage, f"cliffk: error: unrecognized arguments: "
-                + " ".join(extras))
+        _refuse(top, "unrecognized arguments: " + " ".join(extras))
     fmt = args.pop("format") or top_format or "text"
     return handler, SimpleNamespace(**args), fmt
 

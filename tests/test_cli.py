@@ -1,5 +1,6 @@
 """Command line behavior: output text, JSON shape, exit codes."""
 
+import argparse
 import io
 import itertools
 import json
@@ -498,11 +499,20 @@ class TestAgainstArgparseOracle:
         ["-hh"], ["-h=h"], ["-hx"], ["-h="], ["--help=x"], ["--he"],
         ["-h", "--=x"], ["classify", "-h", "--f"],
         ["seq", "- x"], ["seq", "--x y"], ["seq", ""], ["seq", "-5."],
+        ["seq", "-.5"], ["seq", "-1\n"], ["seq", "-٣"],
         ["bott", "--max", "-5.5"], ["bott", "--max="],
         ["seq", "f", "--"], ["seq", "f", "--format", "json", "--"],
     ], ids=repr)
     def test_forms_outside_the_alphabet(self, oracle_parse, argv):
         assert outcome(table_parse, argv) == outcome(oracle_parse, argv)
+
+    def test_negative_numbers_as_argparse_reads_them(self):
+        matcher = argparse.ArgumentParser()._negative_number_matcher
+        for n in range(1, 6):
+            for chars in itertools.product("-1.\n٣x", repeat=n):
+                token = "-" + "".join(chars)
+                assert (cli._negative_number(token)
+                        == bool(matcher.match(token))), token
 
     @pytest.mark.parametrize("argv", [
         ["bott", "--max=--"], ["--format=--", "bott"], ["verify", "--suite=--"],
