@@ -208,7 +208,7 @@ def _parse(argv: list[str]):
     """(handler, args, format) for argv.  Help raises SystemExit(0) and a
     usage error SystemExit(2), at the token where argparse would stop."""
     table = _commands()
-    # (prog, options, positionals) of the level being read, for its usage
+    # (prog, options, positional names) of the level being read, for usage
     level = top = ("cliffk", {"--format": _FORMAT},
                    ["{" + ",".join(table) + "}", "..."])
     top_format = command = None
@@ -248,20 +248,20 @@ def _parse(argv: list[str]):
         pending = list(positionals)
         # as in argparse, a "--" is unrecognized unless a positional was
         # read after the last option
-        since_option = separated = False
+        read_since_option = separated = False
         for _i, flag, text in _events(argv[i:], (*_HELP, *options)):
             if flag is None:
                 if pending:
                     dest, converter = pending.pop(0)
                     args[dest] = _convert(dest, converter, text)
-                    since_option = True
+                    read_since_option = True
                 else:
                     extras.append(text)
                 continue
             if flag == "--":
                 separated = True
                 continue
-            since_option = False
+            read_since_option = False
             if flag in _HELP:
                 _help(level, help_line)
             elif flag in options:
@@ -275,7 +275,7 @@ def _parse(argv: list[str]):
         if missing:
             raise _UsageError("the following arguments are required: "
                               + ", ".join(missing))
-        if separated and not since_option:
+        if separated and not read_since_option:
             extras.append("--")
     except _UsageError as exc:
         _refuse(level, exc)
