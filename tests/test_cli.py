@@ -454,7 +454,8 @@ ALPHABET = ("classify", "rpn", "bott", "verify", "seq", "--format", "--form",
 
 
 def outcome(parse, argv):
-    """"help" (exit 0), "usage" (exit 2), or what parse returned."""
+    """What parse makes of argv: "help" for exit 0, "usage" for exit 2,
+    else its return value."""
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             return parse(list(argv))
