@@ -405,12 +405,8 @@ def _cmd_seq(args, fmt: str) -> int:
                 print(f"solution {k}: " + ", ".join(parts))
         return 0 if solutions else 1
 
-    positions = list(sf.check_at)
-    if not positions:
-        positions = [sf.term_names[i] for i in range(1, len(sf.term_names) - 1)]
-    results = []
-    for name in positions:
-        results.append((name, *exactness_at(seq, sf.term_names.index(name))))
+    positions = seq.exact_at or range(1, len(sf.term_names) - 1)
+    results = [(sf.term_names[i], *exactness_at(seq, i)) for i in positions]
     passed = all(ok for _n, ok, _i, _k in results)
     if fmt == "json":
         print(json.dumps({
@@ -444,7 +440,12 @@ def main(argv=None) -> int:
 
 def run() -> None:
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            # help and usage errors leave main this way; what help printed
+            # is still in the buffer for the guarded flush
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; point stdout at /dev/null so the flush at

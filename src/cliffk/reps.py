@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 from operator import matmul
 
 from . import _kernel_py as kernel
-from .blades import CliffordElement, Signature, TensorElement
+from .blades import Signature
 from .errors import BoundExceededError, InvalidSignatureError, check_size
 from .scalars import ScalarField
 from .structure import classify, min_faithful_dim
@@ -279,17 +279,35 @@ def build_rep(sig: Signature, field: ScalarField = _REAL) -> MatrixRep:
 
 
 def check_relations(rep: MatrixRep) -> bool:
-    """Exact generator relations: squares are -+I, distinct pairs anticommute."""
-    ident = UnitPermMatrix.identity(rep.dim)
-    for t, g in enumerate(rep.gens):
-        want = -ident if t < rep.sig.p else ident
-        if g @ g != want:
+    """Exact generator relations: squares are -+I, distinct pairs anticommute.
+
+    Read off rows and codes, with no product built: column j of g h has its
+    nonzero in row g.rows[h.rows[j]] with code g.codes[h.rows[j]] +
+    h.codes[j] mod 4.  So g g = -+I says that g.rows[g.rows[j]] is j with
+    code 2 or 0, and g h = -h g that both products put column j in the
+    same row with codes 2 apart.  A generator of the wrong size fails.
+    """
+    dim, gens = rep.dim, rep.gens
+    cols = range(dim)
+    for t, g in enumerate(gens):
+        if g.n != dim:
             return False
-    for a in range(len(rep.gens)):
-        for b in range(a + 1, len(rep.gens)):
-            ga, gb = rep.gens[a], rep.gens[b]
-            if ga @ gb != -(gb @ ga):
+        want = 2 if t < rep.sig.p else 0
+        rows, codes = g.rows, g.codes
+        for j in cols:
+            r = rows[j]
+            if rows[r] != j or (codes[r] + codes[j]) & 3 != want:
                 return False
+    for a, ga in enumerate(gens):
+        ga_rows, ga_codes = ga.rows, ga.codes
+        for gb in gens[a + 1:]:
+            gb_rows, gb_codes = gb.rows, gb.codes
+            for j in cols:
+                ra, rb = ga_rows[j], gb_rows[j]
+                if (ga_rows[rb] != gb_rows[ra]
+                        or (ga_codes[rb] + gb_codes[j] - gb_codes[ra]
+                            - ga_codes[j]) & 3 != 2):
+                    return False
     return True
 
 
@@ -330,6 +348,12 @@ def verify_classification(sig: Signature, field: ScalarField = _REAL,
     return t1 == tm1 and ti == tmi
 
 
+def _periodicity_images(m: int) -> list[tuple[int, int, int]]:
+    """Generator images of C^{0,m+2} in C^{m,0} (x) C^{0,2} as (sign, left
+    mask, right mask): t_j (x) e1 e2 for j = 1..m, then 1 (x) e1, 1 (x) e2."""
+    return [(1, 1 << j, 0b11) for j in range(m)] + [(1, 0, 0b01), (1, 0, 0b10)]
+
+
 def verify_periodicity_iso(m: int) -> bool:
     """Explicit generator-level isomorphism C^{0,m+2} -> C^{m,0} (x) C^{0,2}.
 
@@ -337,41 +361,38 @@ def verify_periodicity_iso(m: int) -> bool:
     1 (x) e1, 1 (x) e2.  Checks the images satisfy the domain relations
     (square +1, pairwise anticommuting) and that the 2**(m+2) blade images
     are linearly independent, so the map is an isomorphism of algebras.
-    Certificate: each blade image is a single tensor term, so the images
-    are independent iff their (left, right) supports are distinct.  Its
+    Every image is a signed pure tensor of two blades, (sign, left mask,
+    right mask), and a product multiplies each side by blade_mul_mask.
+    Certificate: a single signed term per blade image, so the images are
+    independent iff their (left, right) supports are distinct.  Its
     (m+2) * 2**(m+2) blade-image entries are bounded by MAX_CELLS.
     """
-    left = Signature(m, 0)  # rejects a negative m
+    Signature(m, 0)  # rejects a negative m
     check_size(f"verify_periodicity_iso({m})", (m + 2) << (m + 2))
-    right = Signature(0, 2)
-    one_l = CliffordElement.one(left)
-    e1 = CliffordElement.generator(right, 1)
-    e2 = CliffordElement.generator(right, 2)
-    e12 = e1 * e2
-    images = [TensorElement.of(CliffordElement.generator(left, j + 1), e12)
-              for j in range(m)]
-    images.append(TensorElement.of(one_l, e1))
-    images.append(TensorElement.of(one_l, e2))
-    one_t = TensorElement.one(left, right)
+    mul = kernel.blade_mul_mask
+
+    def times(x, y):
+        sl, left = mul(x[1], y[1], m)
+        sr, right = mul(x[2], y[2], 0)
+        return x[0] * y[0] * sl * sr, left, right
+
+    images = _periodicity_images(m)
     for g in images:
-        if g * g != one_t:
+        if times(g, g) != (1, 0, 0):
             return False
     for a in range(len(images)):
         for b in range(a + 1, len(images)):
-            if not (images[a] * images[b] + images[b] * images[a]).is_zero():
+            sign, left, right = times(images[a], images[b])
+            if times(images[b], images[a]) != (-sign, left, right):
                 return False
-    # blade images, by shared-prefix recursion; each is a single tensor term
+    # blade images, by shared-prefix recursion
     total = 1 << (m + 2)
-    blade_imgs: list[TensorElement] = [one_t] * total
+    blade_imgs = [(1, 0, 0)] * total
     for mask in range(1, total):
         low = mask & -mask
-        blade_imgs[mask] = images[low.bit_length() - 1] * blade_imgs[mask ^ low]
-    supports = set()
-    for mask, img in enumerate(blade_imgs):
-        if len(img.terms) != 1:
-            raise AssertionError(f"blade image {mask} is not a single term")
-        supports.update(img.terms)
-    return len(supports) == total
+        blade_imgs[mask] = times(images[low.bit_length() - 1],
+                                 blade_imgs[mask ^ low])
+    return len({(left, right) for _s, left, right in blade_imgs}) == total
 
 
 def _crossed_mul(t1, t2, n: int):

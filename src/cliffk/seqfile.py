@@ -12,11 +12,21 @@ declared in order and must connect consecutive terms.  A matrix literal has
 one row per target generator and one column per source generator; a matrix
 of all zeros is accepted in any shape, which is how maps into or out of the
 trivial group are written (canonically "[[0]]").
+
+A matrix literal is a non-empty list of non-empty lists of decimal
+integers, each with an optional "-", and spaces or tabs may stand between
+tokens.  In EBNF:
+
+    MATRIX = "[" ROW { "," ROW } "]"
+    ROW    = "[" INT { "," INT } "]"
+    INT    = [ "-" ] ( "0" { "0" } | NONZERO-DIGIT { DIGIT } )
+
+So "-3" is read, and "+3", "- 3", "03", "0x1", "1_0", a trailing comma and
+parentheses are not.
 """
 
 from __future__ import annotations
 
-import ast
 import re
 from dataclasses import dataclass
 
@@ -32,6 +42,10 @@ _CHECK_RE = re.compile(r"^check\s+exact\s+at\s+(.+)$")
 _SOLVE_RE = re.compile(r"^solve\s+bound\s*=\s*(\d+)$")
 _CYCLIC_RE = re.compile(r"^Z/(\d+)$")
 _POWER_RE = re.compile(r"^Z\^(\d+)$")
+# one token of a matrix literal, after spaces and tabs: a bracket or comma,
+# an integer, or any other run of characters up to the next delimiter
+_MATRIX_TOKEN_RE = re.compile(
+    r"[ \t]*(?:([][,])|(-?(?:0+|[1-9][0-9]*))(?![^][, \t])|([^][, \t]+))")
 
 
 def _parse_int(digits: str, lineno: int) -> int:
@@ -64,17 +78,52 @@ def _parse_group(text: str, lineno: int) -> FGAbelianGroup:
     return FGAbelianGroup.from_invariants(rank, factors)
 
 
-def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
+def _matrix_rows(text: str) -> list[list[str]] | None:
+    """The entries of a matrix literal, row by row, as integer texts ("" for
+    an entry that is not an integer); None when its brackets and commas do
+    not follow the grammar."""
+    tokens = iter(_MATRIX_TOKEN_RE.findall(text))
+    rows = []
     try:
-        value = ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        raise SequenceParseError(lineno, f"cannot parse matrix {text!r}") from None
-    if (not isinstance(value, list) or not value
-            or not all(isinstance(r, list) and r for r in value)
-            or not all(isinstance(x, int) and not isinstance(x, bool)
-                       for r in value for x in r)):
+        if next(tokens)[0] != "[":
+            return None
+        while True:
+            if next(tokens)[0] != "[":
+                return None
+            row = []
+            while True:
+                punct, entry, _other = next(tokens)
+                if punct:
+                    return None
+                row.append(entry)
+                punct = next(tokens)[0]
+                if punct == "]":
+                    break
+                if punct != ",":
+                    return None
+            rows.append(row)
+            punct = next(tokens)[0]
+            if punct == "]":
+                break
+            if punct != ",":
+                return None
+    except StopIteration:
+        return None
+    return None if next(tokens, None) else rows
+
+
+def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
+    rows = _matrix_rows(text)
+    if rows is None:
+        raise SequenceParseError(lineno, f"cannot parse matrix {text!r}")
+    if not all(all(row) for row in rows):
         raise SequenceParseError(
             lineno, "matrix must be a non-empty list of non-empty integer rows")
+    try:
+        value = [[int(x) for x in row] for row in rows]
+    except ValueError:  # past the interpreter's integer string limit
+        raise SequenceParseError(lineno,
+                                 f"cannot parse matrix {text!r}") from None
     width = len(value[0])
     if any(len(r) != width for r in value):
         raise SequenceParseError(lineno, "matrix rows have different lengths")
@@ -102,7 +151,8 @@ class SequenceFile:
             isinstance(m, UnknownMap) for m in self.maps)
 
     def to_sequence(self) -> Sequence:
-        exact_at = tuple(self.term_names.index(n) for n in self.check_at)
+        index = {name: i for i, name in enumerate(self.term_names)}
+        exact_at = tuple(index[name] for name in self.check_at)
         return Sequence(self.terms, self.maps, names=self.term_names,
                         exact_at=exact_at)
 
@@ -141,7 +191,8 @@ def parse_sequence_file(text: str) -> SequenceFile:
     """
     term_names: list[str] = []
     terms: list = []
-    term_lines: dict[str, int] = {}
+    term_index: dict[str, int] = {}
+    declared_maps: set[str] = set()
     raw_maps: list[tuple[int, str, str, str, object]] = []
     raw_checks: list[tuple[int, str]] = []
     solve_bound: int | None = None
@@ -154,7 +205,7 @@ def parse_sequence_file(text: str) -> SequenceFile:
         last_line = lineno
         if m := _TERM_RE.match(line):
             name, rhs = m.group(1), m.group(2).strip()
-            if name in term_lines:
+            if name in term_index:
                 raise SequenceParseError(lineno, f"duplicate term {name!r}")
             if rhs.startswith("unknown"):
                 body = rhs[len("unknown"):].strip()
@@ -169,12 +220,13 @@ def parse_sequence_file(text: str) -> SequenceFile:
                 terms.append(UnknownGroup(tuple(cands)))
             else:
                 terms.append(_parse_group(rhs, lineno))
+            term_index[name] = len(term_names)
             term_names.append(name)
-            term_lines[name] = lineno
         elif m := _MAP_RE.match(line):
             name, src, dst, rhs = m.groups()
-            if any(name == existing for _l, existing, *_r in raw_maps):
+            if name in declared_maps:
                 raise SequenceParseError(lineno, f"duplicate map {name!r}")
+            declared_maps.add(name)
             rhs = rhs.strip()
             payload = UNKNOWN_MAP if rhs == "unknown" else _parse_matrix(rhs,
                                                                          lineno)
@@ -230,17 +282,16 @@ def parse_sequence_file(text: str) -> SequenceFile:
         except IllDefinedHomError as exc:
             raise SequenceParseError(lineno, str(exc)) from None
 
-    seen = []
+    checked = set()
     for lineno, name in raw_checks:
-        if name not in term_lines:
+        idx = term_index.get(name)
+        if idx is None:
             raise SequenceParseError(lineno, f"check names unknown term {name!r}")
-        idx = term_names.index(name)
         if not 1 <= idx <= len(term_names) - 2:
             raise SequenceParseError(
                 lineno, f"term {name!r} is not an interior position")
-        if name not in seen:
-            seen.append(name)
-    check_at = tuple(sorted(seen, key=term_names.index))
+        checked.add(idx)
+    check_at = tuple(term_names[idx] for idx in sorted(checked))
 
     return SequenceFile(tuple(term_names), tuple(terms), tuple(map_names),
                         tuple(maps), check_at, solve_bound)

@@ -18,6 +18,7 @@ from cliffk.blades import CliffordElement, Signature, TensorElement
 from cliffk.errors import InvalidSignatureError, check_size
 from cliffk.scalars import ScalarField
 from cliffk.structure import classify, min_faithful_dim
+from product_oracle import check_relations
 
 _REAL = ScalarField.REAL
 
@@ -89,7 +90,7 @@ def verify_classification(sig: Signature, field: ScalarField = _REAL) -> bool:
     rep = reps.build_rep(sig, field)
     mats = rep.blade_matrices()
     desc = classify(sig, field)
-    if not reps.check_relations(rep):
+    if not check_relations(rep):
         return False
     if rep.dim != min_faithful_dim(sig, field):
         return False

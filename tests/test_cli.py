@@ -309,6 +309,30 @@ class TestErrorPaths:
         assert proc.stderr == b""
         assert proc.returncode == 141
 
+    @pytest.mark.parametrize("buffered", [True, False],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_on_help(self, buffered):
+        # help leaves main by SystemExit(0) and must still take the guarded
+        # flush; with a block-buffered stdout its lines are written there
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from cliffk.cli import run; run()",
+                 "--help"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
+
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.seq"
         path.write_text("term A = Q\nterm B = Z\nmap f : A -> B = [[1]]\n")

@@ -6,6 +6,7 @@ import pytest
 
 import character_oracle
 import intertwiner_oracle as oracle
+import product_oracle
 import rank_oracle
 from cliffk import reps
 from cliffk.blades import CliffordElement, Signature
@@ -274,17 +275,28 @@ class TestAgainstRankOracle:
     def test_colliding_supports_fail_periodicity(self, monkeypatch):
         # t1, t2 and t1 t2 satisfy the relations of C^{3,0}, but the blade
         # t1 t2 t3 then lands on the support of 1 (x) e1 e2
+        images = reps._periodicity_images
+
+        def collapsed(m):
+            out = images(m)
+            if m == 3:
+                out[2] = (1, 0b011, 0b11)
+            return out
+
+        monkeypatch.setattr(reps, "_periodicity_images", collapsed)
+        assert not verify_periodicity_iso(3)
+        # the oracles build their images from Clifford elements
         generator = CliffordElement.generator
 
-        def collapsed(sig, i, field=R):
+        def collapsed_generator(sig, i, field=R):
             if sig == Signature(3, 0) and i == 3:
                 return generator(sig, 1, field) * generator(sig, 2, field)
             return generator(sig, i, field)
 
         monkeypatch.setattr(CliffordElement, "generator",
-                            staticmethod(collapsed))
-        assert not verify_periodicity_iso(3)
+                            staticmethod(collapsed_generator))
         assert not rank_oracle.verify_periodicity_iso(3)
+        assert not product_oracle.verify_periodicity_iso(3)
 
     def test_pair_sign_mismatch_fails_untwist(self, monkeypatch):
         # flip the sign of (e1 e2) * z alone: z stays a central involution,
@@ -300,6 +312,57 @@ class TestAgainstRankOracle:
         monkeypatch.setattr(reps, "_crossed_mul", flipped)
         assert not untwist_split_check(2)
         assert not rank_oracle.untwist_split_check(2)
+
+
+def _mutations(rep: MatrixRep):
+    """Every rep that differs from rep in one generator by one column's
+    code (+1 or +2) or by the rows of two columns swapped."""
+    for t, g in enumerate(rep.gens):
+        variants = []
+        for j in range(g.n):
+            for shift in (1, 2):
+                codes = list(g.codes)
+                codes[j] += shift
+                variants.append(UnitPermMatrix(g.rows, codes))
+            for k in range(j + 1, g.n):
+                rows = list(g.rows)
+                rows[j], rows[k] = rows[k], rows[j]
+                variants.append(UnitPermMatrix(rows, g.codes))
+        for h in variants:
+            gens = rep.gens[:t] + (h,) + rep.gens[t + 1:]
+            yield MatrixRep(rep.sig, rep.field, rep.dim, gens)
+
+
+class TestAgainstProductOracle:
+    """The index checks and the signed blade triples agree with the forms
+    that build every product."""
+
+    @pytest.mark.parametrize("field", [R, C], ids=["real", "complex"])
+    def test_relations_match_product_oracle(self, field):
+        for sig in SIGS_UP_TO_9:
+            rep = build_rep(sig, field)
+            assert check_relations(rep) == \
+                product_oracle.check_relations(rep), (sig, field)
+
+    @pytest.mark.parametrize("field", [R, C], ids=["real", "complex"])
+    def test_mutated_relations_match_product_oracle(self, field):
+        failed = 0
+        for sig in ALL_SMALL:
+            if sig.n > 5:
+                continue
+            for bad in _mutations(build_rep(sig, field)):
+                got = check_relations(bad)
+                assert got == product_oracle.check_relations(bad), \
+                    (sig, field, bad.gens)
+                failed += not got
+        # all but a few break a relation: a code +2 on a diagonal single
+        # generator (C^{0,1}, complex C^{1,0}) still squares to -+I
+        assert failed > 0
+
+    def test_periodicity_matches_product_oracle(self):
+        for m in range(11):
+            assert verify_periodicity_iso(m) == \
+                product_oracle.verify_periodicity_iso(m), m
 
 
 RESTRICTION_CASES = [

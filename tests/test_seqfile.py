@@ -1,8 +1,13 @@
 """Sequence file format: parsing, rendering, and the shipped example."""
 
+import ast
+import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffk.abgroup import (
     FGAbelianGroup,
@@ -12,6 +17,7 @@ from cliffk.abgroup import (
     check_exact,
     solve_exact,
 )
+from cliffk import seqfile
 from cliffk.errors import SequenceParseError
 from cliffk.seqfile import SequenceFile, parse_sequence_file
 
@@ -138,6 +144,107 @@ class TestParseErrors:
             parse_sequence_file(text)
         assert exc.value.line == line
         assert fragment in exc.value.message
+
+
+@st.composite
+def _grammar_literals(draw):
+    """A matrix literal of the documented grammar, blanks between tokens.
+
+    A zero entry is written in one of its four forms ("0", "-0", "00",
+    "-000"); the other entries as str writes them."""
+    height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(-10 ** 25, 10 ** 25),
+                           min_size=height * width, max_size=height * width))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def blank():
+        return rng.choice(["", "", " ", "\t", "  ", " \t "])
+
+    def listed(items):
+        return (blank() + "[" + ("," + blank()).join(
+            blank() + item + blank() for item in items) + "]" + blank())
+
+    entries = [str(v) if v else rng.choice(["0", "-0", "00", "-000"])
+               for v in values]
+    return listed([listed(entries[k:k + width])
+                   for k in range(0, len(entries), width)])
+
+
+# the tokens of the exhaustive comparison with ast.literal_eval
+_TOKENS = ["[", "]", ",", "-", "+", "1", "0", "x", "_", "True", "1.5", " "]
+
+
+def _short_strings():
+    """Every string of up to 5 tokens; of the 6-token strings, every one
+    whose first token after blanks is "[" (no other start can give
+    literal_eval a list) and a seeded sample of 20,000 of the rest."""
+    level = [""]
+    for _ in range(5):
+        yield from level
+        level = [p + tok for p in level for tok in _TOKENS]
+    yield from level
+    for p in level:
+        if p.lstrip(" ")[:1] in ("[", ""):
+            for tok in _TOKENS:
+                yield p + tok
+    rng = random.Random(13)
+    for _ in range(20000):
+        yield "".join(rng.choices(_TOKENS, k=6))
+
+
+def _read(text):
+    try:
+        return seqfile._parse_matrix(text, 1)
+    except SequenceParseError:
+        return None
+
+
+class TestMatrixReader:
+    """The reader of matrix literals against ast.literal_eval, which read
+    them before."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_grammar_literals())
+    def test_grammar_literals_read_as_python_does(self, text):
+        value = _read(text)
+        assert value is not None, text
+        assert repr(value) == repr(ast.literal_eval(text))
+
+    def test_short_strings_accepted_only_where_python_agrees(self):
+        accepted = 0
+        for text in _short_strings():
+            # _parse_matrix refuses whatever _matrix_rows cannot split
+            if seqfile._matrix_rows(text) is None:
+                continue
+            value = _read(text)
+            if value is None:
+                continue
+            accepted += 1
+            assert repr(value) == repr(ast.literal_eval(text)), text
+        assert accepted == 20
+
+    @pytest.mark.parametrize("rhs", [
+        "[[+3]]", "[[0x1]]", "[[1_0]]", "[[1,]]", "[[1],]", "[[(1)]]",
+        "([1],)", "[(1,)]", "[[- 3]]", "[[-\t3]]", "[[03]]", "[[--3]]",
+        "[[1 2]]", "[[1]] [[2]]", "[]", "[[]]", "[1]", "[[1]",
+    ])
+    def test_refused_forms(self, rhs):
+        text = f"term A = Z\nterm B = Z\nmap f : A -> B = {rhs}\n"
+        with pytest.raises(SequenceParseError) as exc:
+            parse_sequence_file(text)
+        assert exc.value.line == 3
+
+    def test_blanks_and_signs(self):
+        assert seqfile._parse_matrix("\t[ [-0 ,\t1] ,[00, -12] ] ", 1) == \
+            [[0, 1], [0, -12]]
+
+    def test_integer_past_the_digit_limit(self):
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        text = f"term A = Z\nterm B = Z\nmap f : A -> B = [[{digits}]]\n"
+        with pytest.raises(SequenceParseError) as exc:
+            parse_sequence_file(text)
+        assert exc.value.line == 3
+        assert "cannot parse matrix" in exc.value.message
 
 
 class TestRendering:
