@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffk import seqfile
 from cliffk.abgroup import (
     FGAbelianGroup,
     GroupHom,
@@ -17,7 +18,6 @@ from cliffk.abgroup import (
     check_exact,
     solve_exact,
 )
-from cliffk import seqfile
 from cliffk.errors import SequenceParseError
 from cliffk.seqfile import SequenceFile, parse_sequence_file
 
