@@ -1,26 +1,24 @@
 """Exact Clifford-algebra structure theory and point-level K computations.
 
-The layers, bottom up: exact scalars and blade arithmetic, signature
-classification into matrix algebras over R, C, H with restriction
-multiplicities read off it, explicit minimal representations that check
-the classification, finitely generated abelian groups with an
-exact-sequence solver, and the K-theory tables built on the
-classification and the group layer.  The integer linear algebra runs in
-one pure-Python kernel module, cliffk._kernel_py.
+The layers, bottom up: signatures and signed basis-blade arithmetic on
+bitmasks, signature classification into matrix algebras over R, C, H with
+restriction multiplicities read off it, explicit minimal representations
+on integer codes that check the classification, finitely generated
+abelian groups with an exact-sequence solver, and the K-theory tables
+built on the classification and the group layer.  All arithmetic is on
+integers.  The integer linear algebra runs in one pure-Python kernel
+module, cliffk._kernel_py.
 """
 
 from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
                       UnknownGroup, UnknownMap, check_exact, cokernel,
                       exactness_at, exactness_indices, image, kernel,
                       smith_normal_form, solve_exact)
-from .blades import (CliffordElement, Signature, TensorElement, blade_grade,
-                     blade_mul, blade_name, center_basis, elem_mul,
-                     tensor_mul, top_element)
+from .blades import Signature, blade_grade, blade_mul, center_basis
 from .errors import (MAX_CELLS, BoundExceededError, CliffkError,
                      EmbeddingError, IllDefinedHomError, InvalidBladeError,
                      InvalidGroupError, InvalidSignatureError,
-                     SearchSpaceError, SequenceParseError,
-                     SignatureMismatchError)
+                     SearchSpaceError, SequenceParseError)
 from .ktheory import (FiberTwistReport, ForgetfulFunctor, KTheory, RelativeK,
                       ThomStabilityReport, adams_f, bott_sequence_instance,
                       fiber_twist_check, forgetful_k_map, k0, point_k,
@@ -29,10 +27,10 @@ from .ktheory import (FiberTwistReport, ForgetfulFunctor, KTheory, RelativeK,
 from .reps import (MatrixRep, UnitPermMatrix, build_rep, check_relations,
                    untwist_split_check, verify_classification,
                    verify_periodicity_iso)
-from .scalars import GaussianRational, ScalarField
+from .scalars import ScalarField
 from .seqfile import SequenceFile, parse_sequence_file
 from .structure import (AlgebraDescriptor, DivisionRing, classify, irrep_dims,
-                        irrep_end_dim, min_faithful_dim, periodicity_shapes,
+                        irrep_end_dim, min_faithful_dim,
                         restriction_multiplicities)
 
 __version__ = "0.1.0"
@@ -42,22 +40,19 @@ BACKEND = "pure"
 
 __all__ = [
     "AlgebraDescriptor", "BACKEND", "BoundExceededError", "CliffkError",
-    "CliffordElement", "DivisionRing", "EmbeddingError", "FGAbelianGroup",
-    "FiberTwistReport", "ForgetfulFunctor", "GaussianRational", "GroupHom",
-    "IllDefinedHomError", "InvalidBladeError", "InvalidGroupError",
-    "InvalidSignatureError",
-    "KTheory", "MAX_CELLS", "MatrixRep", "RelativeK", "ScalarField",
-    "Sequence", "SequenceFile", "SequenceParseError", "SearchSpaceError",
-    "Signature", "SignatureMismatchError", "TensorElement",
+    "DivisionRing", "EmbeddingError", "FGAbelianGroup", "FiberTwistReport",
+    "ForgetfulFunctor", "GroupHom", "IllDefinedHomError", "InvalidBladeError",
+    "InvalidGroupError", "InvalidSignatureError", "KTheory", "MAX_CELLS",
+    "MatrixRep", "RelativeK", "ScalarField", "Sequence", "SequenceFile",
+    "SequenceParseError", "SearchSpaceError", "Signature",
     "ThomStabilityReport", "UNKNOWN_MAP", "UnitPermMatrix", "UnknownGroup",
-    "UnknownMap", "adams_f", "blade_grade", "blade_mul", "blade_name",
+    "UnknownMap", "adams_f", "blade_grade", "blade_mul",
     "bott_sequence_instance", "build_rep", "center_basis", "check_exact",
-    "check_relations", "classify", "cokernel", "elem_mul", "exactness_at",
+    "check_relations", "classify", "cokernel", "exactness_at",
     "exactness_indices", "fiber_twist_check", "forgetful_k_map", "image",
     "irrep_dims", "irrep_end_dim", "k0", "kernel", "min_faithful_dim",
-    "parse_sequence_file", "periodicity_shapes", "point_k", "reduced_k_rpn",
-    "relative_k", "restriction_multiplicities", "sequence_E_point_instance",
-    "smith_normal_form", "solve_exact", "tensor_mul", "thom_stability",
-    "top_element", "untwist_split_check", "verify_classification",
-    "verify_periodicity_iso",
+    "parse_sequence_file", "point_k", "reduced_k_rpn", "relative_k",
+    "restriction_multiplicities", "sequence_E_point_instance",
+    "smith_normal_form", "solve_exact", "thom_stability",
+    "untwist_split_check", "verify_classification", "verify_periodicity_iso",
 ]

@@ -5,9 +5,8 @@ normal form with transform accumulation, and Hermite normal form of a
 subgroup lattice, the canonical key that decides exactness.  blades, reps
 and abgroup import this module as their kernel.
 
-All arithmetic is exact.  Matrix entries are Python ints (arbitrary
-precision); blade coefficients are whatever exact ring elements the caller
-supplies.
+All arithmetic is exact: blades are bitmasks with a sign, and matrix
+entries are Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -33,32 +32,6 @@ def blade_mul_mask(a: int, b: int, p: int) -> tuple[int, int]:
     neg = (a & b & ((1 << p) - 1)).bit_count()
     sign = -1 if (swaps + neg) & 1 else 1
     return sign, a ^ b
-
-
-def mul_term_maps(ta: dict, tb: dict, p: int) -> dict:
-    """Product of two blade-coefficient maps over a (p, *) signature.
-
-    Coefficients may be any exact ring elements supporting *, +, unary -,
-    and truthiness; zero results are dropped.
-    """
-    out: dict = {}
-    for ma, ca in ta.items():
-        for mb, cb in tb.items():
-            sign, m = blade_mul_mask(ma, mb, p)
-            c = ca * cb
-            if sign < 0:
-                c = -c
-            acc = out.get(m)
-            if acc is None:
-                if c:
-                    out[m] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
-    return out
 
 
 def _row_sub(M: list, i: int, t: int, q: int) -> None:
@@ -143,8 +116,8 @@ def snf(mat, nrows: int, ncols: int) -> tuple[list, list, list]:
     of row lists.  The transforms hold nrows**2 + ncols**2 entries, which
     must fit MAX_CELLS.
     """
-    check_size(f"Smith normal form of a {nrows} x {ncols} matrix",
-               nrows * nrows + ncols * ncols)
+    check_size("Smith normal form of a {} x {} matrix",
+               nrows * nrows + ncols * ncols, nrows, ncols)
     D = [list(row) for row in mat]
     U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
@@ -202,8 +175,8 @@ def hnf(gens, moduli) -> tuple[tuple[int, ...], ...]:
     """
     n = len(moduli)
     gens = list(gens)
-    check_size(f"Hermite normal form of {len(gens)} generators in {n} "
-               "coordinates", (len(gens) + n) * n)
+    check_size("Hermite normal form of {} generators in {} coordinates",
+               (len(gens) + n) * n, len(gens), n)
     tors = [k for k in range(n) if moduli[k]]
     rows = []
     for v in gens:

@@ -151,7 +151,7 @@ class FGAbelianGroup:
             raise InvalidGroupError(
                 "cyclic factor orders must be positive integers")
         k = len(factors)
-        check_size(f"group of rank {rank} with {k} cyclic factors", rank + k)
+        check_size("group of rank {} with {} cyclic factors", rank + k, rank, k)
         return cls(rank, _invariant_chain(factors))
 
     @classmethod
@@ -262,8 +262,8 @@ class GroupHom:
 
     @classmethod
     def zero(cls, source: FGAbelianGroup, target: FGAbelianGroup) -> "GroupHom":
-        check_size(f"zero map {source} -> {target}",
-                   source.n_gens * target.n_gens)
+        check_size("zero map {} -> {}", source.n_gens * target.n_gens,
+                   source, target)
         return cls(source, target,
                    tuple((0,) * source.n_gens for _ in range(target.n_gens)))
 
@@ -449,9 +449,6 @@ class Sequence:
                     if isinstance(term, FGAbelianGroup) and side != term:
                         raise ValueError(
                             f"map {i} endpoints disagree with the terms")
-
-    def term_name(self, i: int) -> str:
-        return self.names[i] if self.names else f"T{i}"
 
     @property
     def is_fully_specified(self) -> bool:

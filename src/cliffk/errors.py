@@ -13,10 +13,6 @@ class InvalidBladeError(CliffkError, ValueError):
     """A blade bitmask that does not fit the ambient signature."""
 
 
-class SignatureMismatchError(CliffkError, ValueError):
-    """Two elements that live over different signatures or scalar fields."""
-
-
 class BoundExceededError(CliffkError, ValueError):
     """A construction would build more than MAX_CELLS entries."""
 
@@ -24,10 +20,15 @@ class BoundExceededError(CliffkError, ValueError):
 MAX_CELLS = 1 << 20  # the one size bound, in entries built
 
 
-def check_size(what: str, cells: int) -> None:
-    """Raise BoundExceededError, before allocating, past MAX_CELLS entries."""
+def check_size(what: str, cells: int, *parts) -> None:
+    """Raise BoundExceededError, before allocating, past MAX_CELLS entries.
+
+    The label is ``what.format(*parts)``, formatted only on refusal, so an
+    admitted call pays nothing for it.
+    """
     if cells > MAX_CELLS:
-        raise BoundExceededError(f"{what} would build more than {MAX_CELLS} entries")
+        raise BoundExceededError(
+            f"{what.format(*parts)} would build more than {MAX_CELLS} entries")
 
 
 class EmbeddingError(CliffkError, ValueError):

@@ -253,7 +253,7 @@ class MatrixRep:
 
     def blade_matrices(self) -> list[UnitPermMatrix]:
         """All 2**n blade images, indexed by mask, via shared prefixes."""
-        check_size(f"blade_matrices of {self.sig}", self.sig.dim * self.dim)
+        check_size("blade_matrices of {}", self.sig.dim * self.dim, self.sig)
         mats = [UnitPermMatrix.identity(self.dim)] * self.sig.dim
         for mask in range(1, self.sig.dim):
             low = mask & -mask
@@ -270,7 +270,7 @@ def build_rep(sig: Signature, field: ScalarField = _REAL) -> MatrixRep:
     (one copy of each).  Raises BoundExceededError, before building anything,
     when the n generator images of that dimension pass MAX_CELLS entries.
     """
-    check_size(f"build_rep of {sig}", sig.n * min_faithful_dim(sig, field))
+    check_size("build_rep of {}", sig.n * min_faithful_dim(sig, field), sig)
     if field is _REAL:
         dim, gens = _real_gens(sig.p, sig.q)
     else:
@@ -332,7 +332,7 @@ def verify_classification(sig: Signature, field: ScalarField = _REAL,
     if max_total is not None and sig.n > max_total:
         raise BoundExceededError(f"{sig} has more than {max_total} generators")
     rep = build_rep(sig, field)
-    check_size(f"blade_matrices of {sig}", sig.dim * rep.dim)
+    check_size("blade_matrices of {}", sig.dim * rep.dim, sig)
     desc = classify(sig, field)
     if not check_relations(rep):
         return False
@@ -368,7 +368,7 @@ def verify_periodicity_iso(m: int) -> bool:
     (m+2) * 2**(m+2) blade-image entries are bounded by MAX_CELLS.
     """
     Signature(m, 0)  # rejects a negative m
-    check_size(f"verify_periodicity_iso({m})", (m + 2) << (m + 2))
+    check_size("verify_periodicity_iso({})", (m + 2) << (m + 2), m)
     mul = kernel.blade_mul_mask
 
     def times(x, y):
@@ -425,7 +425,7 @@ def untwist_split_check(n: int) -> bool:
     """
     if n < 0:
         raise InvalidSignatureError(f"negative reflected-direction count {n}")
-    check_size(f"untwist_split_check({n})", (n + 2) << (n + 2))
+    check_size("untwist_split_check({})", (n + 2) << (n + 2), n)
     nblades = 1 << (n + 1)
     z = (1 << n, 1)
     # centrality against every generator and against eta itself

@@ -1,170 +1,17 @@
-"""Exact scalar coefficients: the rationals and the Gaussian rationals.
+"""The ground field of an algebra: the reals or the complex numbers.
 
-Real-field computations use fractions.Fraction directly.  Complex-field
-computations use GaussianRational, a pair of Fractions under i**2 == -1, so
-every product and sum in the package stays exact.
+Only the choice is recorded.  Nothing in the package computes with field
+elements: classification reads tables, and representations hold integer
+row indices and powers of i (cliffk.reps), so every result stays exact.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 
 class ScalarField(enum.Enum):
-    """Ground field marker for algebras, elements, and representations."""
+    """Ground field marker for algebras and representations."""
 
     REAL = "real"
     COMPLEX = "complex"
-
-    def coerce(self, value):
-        """Return ``value`` as the canonical exact scalar for this field."""
-        if self is ScalarField.REAL:
-            if isinstance(value, GaussianRational):
-                if value.im:
-                    raise TypeError("complex scalar used in a real-field element")
-                return value.re
-            return _exact(value)
-        return GaussianRational.of(value)
-
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating-point values are not exact")
-    return Fraction(value)
-
-
-class GaussianRational:
-    """An element of Q(i), stored as exact real and imaginary parts.
-
-    >>> GaussianRational(1, 2) * GaussianRational(1, -2)
-    GaussianRational(5, 0)
-    >>> GaussianRational.I ** 2 == -1
-    True
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _exact(re))
-        object.__setattr__(self, "im", _exact(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @classmethod
-    def of(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, complex):
-            raise TypeError("floating-point complex values are not exact")
-        return cls(value, 0)
-
-    def __add__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / n, -other.im / n)
-
-    def __rtruediv__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("only non-negative integer powers")
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-def _as_gaussian(value):
-    """GaussianRational view of an exact scalar, None if not coercible."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    return None
-
-
-GaussianRational.I = GaussianRational(0, 1)

@@ -204,20 +204,3 @@ def irrep_end_dim(sig: Signature, field: ScalarField = ScalarField.REAL,
 def min_faithful_dim(sig: Signature, field: ScalarField = ScalarField.REAL) -> int:
     """Smallest dimension of a faithful module: one copy of each simple module."""
     return sum(irrep_dims(sig, field))
-
-
-def periodicity_shapes(m: int, field: ScalarField = ScalarField.REAL
-                       ) -> tuple[AlgebraDescriptor, AlgebraDescriptor]:
-    """Both sides of the two-step periodicity C^{0,m+2} ~ C^{m,0} (x) M_2.
-
-    Returns the descriptor of C^{0,m+2} and the descriptor obtained from
-    classify(C^{m,0}) by doubling the matrix size; the two agree, which the
-    tests check against this function rather than assuming.
-    """
-    if m < 0:
-        raise InvalidSignatureError(f"negative tensor-shift parameter {m}")
-    lhs = classify(Signature(0, m + 2), field)
-    base = classify(Signature(m, 0), field)
-    rhs = AlgebraDescriptor(base.factors, 2 * base.matrix_size, base.ring,
-                            base.scalar_field)
-    return lhs, rhs

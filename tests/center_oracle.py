@@ -13,8 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from cliffk import _kernel_py as kernel
-from cliffk.blades import CliffordElement, Signature
-from cliffk.scalars import ScalarField
+from cliffk.blades import Signature
 from rank_oracle import _echelonize
 
 
@@ -58,10 +57,10 @@ def sparse_nullspace(rows, ncols: int) -> list[dict]:
     return basis
 
 
-def center_basis(sig: Signature, field: ScalarField = ScalarField.REAL
-                 ) -> list[CliffordElement]:
-    """Same contract as cliffk.blades.center_basis: a primitive basis of the
-    commutator system's solution space, in ascending leading-blade order."""
+def center_basis(sig: Signature) -> list[dict]:
+    """A primitive basis of the commutator system's solution space, as
+    {mask: int} vectors in ascending leading-blade order.  The library's
+    center_basis gives mask b where this gives {b: 1}."""
     dim = sig.dim
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(1, sig.n + 1):
@@ -75,5 +74,4 @@ def center_basis(sig: Signature, field: ScalarField = ScalarField.REAL
             c = s1 - s2
             if c:
                 rows.setdefault((i, m), {})[b] = c
-    basis = sparse_nullspace(list(rows.values()), dim)
-    return [CliffordElement(sig, vec, field) for vec in basis]
+    return sparse_nullspace(list(rows.values()), dim)

@@ -5,15 +5,16 @@ and codes of each pair of generators, and its verify_periodicity_iso
 multiplies (sign, left mask, right mask) triples (cliffk.reps).  This
 module keeps the forms they replaced: check_relations forms each product
 g h as a new UnitPermMatrix and compares whole matrices, and
-verify_periodicity_iso builds the generator images as TensorElements over
-Clifford elements and multiplies them term by term.  They serve as the
-oracles for the differential tests, and tests/rank_oracle.py takes its
-relation check from here.
+verify_periodicity_iso multiplies the generator images as tensor term maps
+{(left mask, right mask): int}, term by term.  They serve as the oracles
+for the differential tests, and tests/rank_oracle.py takes its relation
+check and its periodicity images from here.
 """
 
 from __future__ import annotations
 
-from cliffk.blades import CliffordElement, Signature, TensorElement
+from cliffk import _kernel_py as kernel
+from cliffk.blades import Signature
 from cliffk.errors import check_size
 from cliffk.reps import MatrixRep, UnitPermMatrix
 
@@ -33,37 +34,73 @@ def check_relations(rep: MatrixRep) -> bool:
     return True
 
 
-def verify_periodicity_iso(m: int) -> bool:
-    """Same contract as cliffk.reps.verify_periodicity_iso, on TensorElement
-    products of the generator images."""
+def tensor_mul(x: dict, y: dict, left: Signature, right: Signature) -> dict:
+    """Product in C^left (x) C^right of two integer term maps.
+
+    Terms map (left mask, right mask) pairs to nonzero ints.  The product is
+    componentwise on pure tensors, (a (x) b)(a' (x) b') = (a a') (x) (b b'),
+    extended bilinearly; scalars are even, so no Koszul sign enters.
+    """
+    out: dict = {}
+    for (al, ar), ca in x.items():
+        for (bl, br), cb in y.items():
+            sl, ml = kernel.blade_mul_mask(al, bl, left.p)
+            sr, mr = kernel.blade_mul_mask(ar, br, right.p)
+            key = (ml, mr)
+            c = out.get(key, 0) + sl * sr * ca * cb
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
+
+
+def periodicity_images(m: int) -> list[dict]:
+    """Images in C^{m,0} (x) C^{0,2} of the m + 2 generators of C^{0,m+2}:
+    t_j (x) e1 e2 for j = 1..m, then 1 (x) e1 and 1 (x) e2."""
+    left, right = Signature(m, 0), Signature(0, 2)
+    e1, e2 = {(0, 0b01): 1}, {(0, 0b10): 1}
+    e12 = tensor_mul(e1, e2, left, right)
+    return [tensor_mul({(1 << j, 0): 1}, e12, left, right)
+            for j in range(m)] + [e1, e2]
+
+
+def periodicity_blade_images(m: int) -> list[dict] | None:
+    """The 2**(m+2) blade images of C^{0,m+2}, indexed by mask, or None when
+    the generator images break its relations."""
     left = Signature(m, 0)  # rejects a negative m
-    check_size(f"verify_periodicity_iso({m})", (m + 2) << (m + 2))
+    check_size("verify_periodicity_iso({})", (m + 2) << (m + 2), m)
     right = Signature(0, 2)
-    one_l = CliffordElement.one(left)
-    e1 = CliffordElement.generator(right, 1)
-    e2 = CliffordElement.generator(right, 2)
-    e12 = e1 * e2
-    images = [TensorElement.of(CliffordElement.generator(left, j + 1), e12)
-              for j in range(m)]
-    images.append(TensorElement.of(one_l, e1))
-    images.append(TensorElement.of(one_l, e2))
-    one_t = TensorElement.one(left, right)
+    images = periodicity_images(m)
+    one = {(0, 0): 1}
     for g in images:
-        if g * g != one_t:
-            return False
+        if tensor_mul(g, g, left, right) != one:
+            return None
     for a in range(len(images)):
         for b in range(a + 1, len(images)):
-            if not (images[a] * images[b] + images[b] * images[a]).is_zero():
-                return False
-    # blade images, by shared-prefix recursion; each is a single tensor term
+            ab = tensor_mul(images[a], images[b], left, right)
+            ba = tensor_mul(images[b], images[a], left, right)
+            if ab != {k: -c for k, c in ba.items()}:
+                return None
+    # blade images by shared-prefix recursion
     total = 1 << (m + 2)
-    blade_imgs: list[TensorElement] = [one_t] * total
+    blade_imgs = [one] * total
     for mask in range(1, total):
         low = mask & -mask
-        blade_imgs[mask] = images[low.bit_length() - 1] * blade_imgs[mask ^ low]
+        blade_imgs[mask] = tensor_mul(images[low.bit_length() - 1],
+                                      blade_imgs[mask ^ low], left, right)
+    return blade_imgs
+
+
+def verify_periodicity_iso(m: int) -> bool:
+    """Same contract as cliffk.reps.verify_periodicity_iso, on tensor
+    products of the generator images."""
+    blade_imgs = periodicity_blade_images(m)
+    if blade_imgs is None:
+        return False
     supports = set()
     for mask, img in enumerate(blade_imgs):
-        if len(img.terms) != 1:
+        if len(img) != 1:
             raise AssertionError(f"blade image {mask} is not a single term")
-        supports.update(img.terms)
-    return len(supports) == total
+        supports.update(img)
+    return len(supports) == len(blade_imgs)

@@ -14,11 +14,11 @@ from __future__ import annotations
 from math import gcd
 
 from cliffk import reps
-from cliffk.blades import CliffordElement, Signature, TensorElement
+from cliffk.blades import Signature
 from cliffk.errors import InvalidSignatureError, check_size
 from cliffk.scalars import ScalarField
 from cliffk.structure import classify, min_faithful_dim
-from product_oracle import check_relations
+from product_oracle import check_relations, periodicity_blade_images
 
 _REAL = ScalarField.REAL
 
@@ -122,38 +122,12 @@ def verify_classification(sig: Signature, field: ScalarField = _REAL) -> bool:
 def verify_periodicity_iso(m: int) -> bool:
     """Same contract as cliffk.reps.verify_periodicity_iso, by the rank of
     the 2**(m+2) blade images written out as rows."""
-    left = Signature(m, 0)  # rejects a negative m
-    check_size(f"verify_periodicity_iso({m})", (m + 2) << (m + 2))
-    right = Signature(0, 2)
-    one_l = CliffordElement.one(left)
-    e1 = CliffordElement.generator(right, 1)
-    e2 = CliffordElement.generator(right, 2)
-    e12 = e1 * e2
-    images = [TensorElement.of(CliffordElement.generator(left, j + 1), e12)
-              for j in range(m)]
-    images.append(TensorElement.of(one_l, e1))
-    images.append(TensorElement.of(one_l, e2))
-    one_t = TensorElement.one(left, right)
-    for g in images:
-        if g * g != one_t:
-            return False
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            if not (images[a] * images[b] + images[b] * images[a]).is_zero():
-                return False
-    # blade images, by shared-prefix recursion; each is a single tensor term
-    total = 1 << (m + 2)
-    blade_imgs: list[TensorElement] = [one_t] * total
-    for mask in range(1, total):
-        low = mask & -mask
-        blade_imgs[mask] = images[low.bit_length() - 1] * blade_imgs[mask ^ low]
-    rows = []
-    for img in blade_imgs:
-        row = {}
-        for (ml, mr), coeff in img.terms.items():
-            row[ml * 4 + mr] = int(coeff)
-        rows.append(row)
-    return sparse_rank(rows) == total
+    blade_imgs = periodicity_blade_images(m)
+    if blade_imgs is None:
+        return False
+    rows = [{ml * 4 + mr: c for (ml, mr), c in img.items()}
+            for img in blade_imgs]
+    return sparse_rank(rows) == len(blade_imgs)
 
 
 def untwist_split_check(n: int) -> bool:
@@ -161,7 +135,7 @@ def untwist_split_check(n: int) -> bool:
     corner projections written out as rows."""
     if n < 0:
         raise InvalidSignatureError(f"negative reflected-direction count {n}")
-    check_size(f"untwist_split_check({n})", (n + 2) << (n + 2))
+    check_size("untwist_split_check({})", (n + 2) << (n + 2), n)
     nblades = 1 << (n + 1)
     crossed_mul = reps._crossed_mul
 

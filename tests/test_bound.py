@@ -11,7 +11,7 @@ import pytest
 
 import cliffk
 from cliffk import _kernel_py, blades, errors, reps, structure
-from cliffk.abgroup import FGAbelianGroup, smith_normal_form
+from cliffk.abgroup import FGAbelianGroup, GroupHom, smith_normal_form
 from cliffk.blades import Signature, center_basis
 from cliffk.errors import MAX_CELLS, BoundExceededError
 from cliffk.ktheory import KTheory, point_k, reduced_k_rpn, thom_stability
@@ -110,8 +110,8 @@ def test_largest_admitted_size(site, monkeypatch):
         return
     seen = []
 
-    def spy(what, cells):
-        errors.check_size(what, cells)
+    def spy(what, cells, *parts):
+        errors.check_size(what, cells, *parts)
         if what.startswith(label):
             seen.append(cells)
             raise _Reached
@@ -135,6 +135,21 @@ def test_bound_is_inclusive():
     errors.check_size("edge", MAX_CELLS)
     with pytest.raises(BoundExceededError):
         errors.check_size("edge", MAX_CELLS + 1)
+
+
+def test_label_is_formatted_only_on_refusal(monkeypatch):
+    big, small = FGAbelianGroup(1100, (2, 4)), FGAbelianGroup(1000, (3,))
+    with pytest.raises(BoundExceededError) as refused:
+        GroupHom.zero(big, small)
+    assert str(refused.value) == (
+        "zero map Z^1100 + Z/2 + Z/4 -> Z^1000 + Z/3 would build more than "
+        f"{MAX_CELLS} entries")
+    # an admitted zero map never prints its groups
+    calls = []
+    monkeypatch.setattr(FGAbelianGroup, "__str__",
+                        lambda self: calls.append(self) or "G")
+    GroupHom.zero(FGAbelianGroup(1, (2,)), FGAbelianGroup(0, (3,)))
+    assert calls == []
 
 
 def test_classify_unlimited_string_digits_uses_default(monkeypatch):

@@ -577,20 +577,30 @@ class TestHelpAndUsage:
         assert code == 2
         assert "ambiguous option: --f could match --field, --format" in err
 
-    def test_no_argparse_in_a_fresh_process(self):
-        # argparse's first message lookup imports gettext and locale, which
-        # cost a fresh process more than parsing itself
+    @staticmethod
+    def _loaded_after_bott(names):
+        # which of the named modules a fresh process has loaded after
+        # import cliffk and one small bott run
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("import sys, io, contextlib\n"
-                "import cliffk.cli\n"
+                "import cliffk, cliffk.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    assert cliffk.cli.main(['bott', '--max', '3']) == 0\n"
-                "print(sorted({'argparse', 'gettext', 'locale'}"
-                " & set(sys.modules)))\n")
+                f"print(sorted({set(names)!r} & set(sys.modules)))\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        return proc.stdout
+
+    def test_no_argparse_in_a_fresh_process(self):
+        # argparse's first message lookup imports gettext and locale, which
+        # cost a fresh process more than parsing itself
+        assert self._loaded_after_bott(
+            ["argparse", "gettext", "locale"]) == "[]\n"
+
+    def test_no_fractions_in_a_fresh_process(self):
+        # all arithmetic is on integers, so no rational type is loaded
+        assert self._loaded_after_bott(["fractions", "decimal"]) == "[]\n"

@@ -9,7 +9,7 @@ import intertwiner_oracle as oracle
 import product_oracle
 import rank_oracle
 from cliffk import reps
-from cliffk.blades import CliffordElement, Signature
+from cliffk.blades import Signature
 from cliffk.errors import (BoundExceededError, EmbeddingError,
                            InvalidSignatureError)
 from cliffk.reps import (
@@ -285,16 +285,17 @@ class TestAgainstRankOracle:
 
         monkeypatch.setattr(reps, "_periodicity_images", collapsed)
         assert not verify_periodicity_iso(3)
-        # the oracles build their images from Clifford elements
-        generator = CliffordElement.generator
+        # both oracles take their images from product_oracle's builder
+        oracle_images = product_oracle.periodicity_images
 
-        def collapsed_generator(sig, i, field=R):
-            if sig == Signature(3, 0) and i == 3:
-                return generator(sig, 1, field) * generator(sig, 2, field)
-            return generator(sig, i, field)
+        def oracle_collapsed(m):
+            out = oracle_images(m)
+            if m == 3:
+                out[2] = {(0b011, 0b11): 1}
+            return out
 
-        monkeypatch.setattr(CliffordElement, "generator",
-                            staticmethod(collapsed_generator))
+        monkeypatch.setattr(product_oracle, "periodicity_images",
+                            oracle_collapsed)
         assert not rank_oracle.verify_periodicity_iso(3)
         assert not product_oracle.verify_periodicity_iso(3)
 

@@ -2,9 +2,11 @@
 descriptor pattern, and the dimension identity tying factors, matrix size,
 and division ring back to 2**(p+q)."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +15,7 @@ from cliffk.blades import Signature, center_basis
 from cliffk.errors import InvalidSignatureError
 from cliffk.scalars import ScalarField
 from cliffk.structure import (AlgebraDescriptor, DivisionRing, classify,
-                              irrep_dims, min_faithful_dim,
-                              periodicity_shapes)
+                              irrep_dims, min_faithful_dim)
 
 R, C, H = DivisionRing.R, DivisionRing.C, DivisionRing.H
 
@@ -137,9 +138,14 @@ def test_irrep_dim_matches_adams_dimension():
 
 
 def test_periodicity_shapes():
-    for m in range(5):
-        grown, doubled = periodicity_shapes(m)
-        assert grown == doubled, m
+    # C^{0,m+2} ~ C^{m,0} (x) M_2: the same algebra with doubled matrix size
+    for field in ScalarField:
+        for m in range(9):
+            grown = classify(Signature(0, m + 2), field)
+            base = classify(Signature(m, 0), field)
+            doubled = AlgebraDescriptor(base.factors, 2 * base.matrix_size,
+                                        base.ring, field)
+            assert grown == doubled, (m, field)
 
 
 def test_signature_errors():
@@ -165,3 +171,23 @@ def test_classify_invariants_survive_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _is_banned(node: ast.AST) -> bool:
+    if isinstance(node, ast.Assert):
+        return True
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    return (isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div))
+
+
+def test_library_has_no_asserts_floats_or_true_division():
+    # invariants are explicit raises that survive -O, and every computation
+    # stays on exact integers: no float or complex literal, no true division
+    found = []
+    for path in sorted(Path(cliffk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _is_banned(node)]
+    assert found == []
