@@ -11,9 +11,8 @@ module, cliffk._kernel_py.
 """
 
 from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
-                      UnknownGroup, UnknownMap, check_exact, cokernel,
-                      exactness_at, exactness_indices, image, kernel,
-                      smith_normal_form, solve_exact)
+                      UnknownGroup, UnknownMap, cokernel, exactness_at,
+                      image, kernel, smith_normal_form, solve_exact)
 from .blades import Signature, blade_grade, blade_mul, center_basis
 from .errors import (MAX_CELLS, BoundExceededError, CliffkError,
                      EmbeddingError, IllDefinedHomError, InvalidBladeError,
@@ -47,10 +46,10 @@ __all__ = [
     "SequenceParseError", "SearchSpaceError", "Signature",
     "ThomStabilityReport", "UNKNOWN_MAP", "UnitPermMatrix", "UnknownGroup",
     "UnknownMap", "adams_f", "blade_grade", "blade_mul",
-    "bott_sequence_instance", "build_rep", "center_basis", "check_exact",
-    "check_relations", "classify", "cokernel", "exactness_at",
-    "exactness_indices", "fiber_twist_check", "forgetful_k_map", "image",
-    "irrep_dims", "irrep_end_dim", "k0", "kernel", "min_faithful_dim",
+    "bott_sequence_instance", "build_rep", "center_basis", "check_relations",
+    "classify", "cokernel", "exactness_at", "fiber_twist_check",
+    "forgetful_k_map", "image", "irrep_dims", "irrep_end_dim", "k0", "kernel",
+    "min_faithful_dim",
     "parse_sequence_file", "point_k", "reduced_k_rpn", "relative_k",
     "restriction_multiplicities", "sequence_E_point_instance",
     "smith_normal_form", "solve_exact", "thom_stability",

@@ -6,16 +6,16 @@ presentation, or by a gcd/lcm sweep from a list of cyclic orders.
 Generators are ordered free-first, then torsion in chain order, so elements
 and homomorphism matrices have a fixed coordinate convention throughout.
 
-Subgroup and quotient computations reduce to integer lattice work.  For
-isomorphism classes (kernel, image, cokernel), a subgroup given by
-generator columns S inside Z^n / col(R) is presented by the relations
-{c : S c in col(R)}, obtained by SNF from the kernel lattice of [S | R].
-For exactness the same subgroup is the lattice spanned by S and R, whose
-Hermite normal form is a canonical key: two subgroups of a group are equal
-iff their keys are, so exactness is key equality, and the solver buckets
-candidate maps by key instead of testing pairs.  Keys take no SNF: a
-kernel key is read off one HNF (kernel_key), and a subgroup's index is the
-product of its key's pivots (exactness_indices).
+Subgroups are integer lattices.  A subgroup H of Z^n / col(R) is kept
+as one canonical key: the Hermite normal form of the lattice H + col(R)
+(image_key, kernel_key).  Two subgroups of a group are equal iff their
+keys are, so exactness is key equality, and the solver buckets candidate
+maps by key instead of testing pairs.  A kernel key is read off one HNF,
+and a subgroup's index is the product of its key's pivots (exactness_at).
+Isomorphism classes (kernel, image) are read off the keys as well: the key
+rows are a basis of H + col(R), so H is presented by the coordinates of
+the relation vectors in that basis.  Smith normal form is used only to
+turn a presentation into invariant factors (from_presentation, cokernel).
 """
 
 from __future__ import annotations
@@ -47,16 +47,6 @@ def smith_normal_form(mat) -> tuple[list, list, list]:
     if any(len(row) != n for row in mat):
         raise InvalidGroupError("ragged matrix")
     return _kernel.snf(mat, m, n)
-
-
-def _hstack(a, b):
-    if not a and not b:
-        return []
-    if not a:
-        return [list(r) for r in b]
-    if not b:
-        return [list(r) for r in a]
-    return [list(ra) + list(rb) for ra, rb in zip(a, b, strict=True)]
 
 
 def _push_run(runs: list, value: int, count: int) -> None:
@@ -112,10 +102,11 @@ class FGAbelianGroup:
         if not isinstance(self.rank, int) or self.rank < 0:
             raise InvalidGroupError(f"rank {self.rank!r} is not a "
                                     "non-negative integer")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         for d in self.torsion:
-            if d < 2:
-                raise InvalidGroupError(f"invariant factor {d} < 2")
+            if not isinstance(d, int) or d < 2:
+                raise InvalidGroupError(
+                    f"invariant factor {d!r} is not an integer of at least 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise InvalidGroupError(
@@ -302,85 +293,15 @@ def cokernel(f: GroupHom) -> FGAbelianGroup:
     >>> str(cokernel(GroupHom(Z, Z, ((2,),))))
     'Z/2'
     """
-    rel = _hstack(f.target.relation_matrix(), [list(r) for r in f.matrix])
+    rel = [[*t, *r] for t, r in zip(f.target.relation_matrix(), f.matrix)]
     return FGAbelianGroup.from_presentation(f.target.n_gens, rel)
 
 
-def _kernel_lattice_basis(mat, nrows: int, ncols: int) -> list[list[int]]:
-    """Columns forming a basis of the integer kernel of ``mat``."""
-    _u, d, v = _kernel.snf([list(r) for r in mat], nrows, ncols)
-    rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i])
-    return [[v[i][j] for i in range(ncols)] for j in range(rank, ncols)]
-
-
-def _kernel_gen_columns(f: GroupHom) -> list[list[int]]:
-    """Generators of ker f as columns in source coordinates.
-
-    x lies in the kernel iff F x is a target relation combination, so the
-    kernel subgroup is the projection to the first block of the kernel
-    lattice of [F | R_target]; source relations land there automatically by
-    well-definedness.
-    """
-    ns = f.source.n_gens
-    aug = _hstack([list(r) for r in f.matrix], f.target.relation_matrix())
-    ncols = ns + len(f.target.torsion)
-    basis = _kernel_lattice_basis(aug, f.target.n_gens, ncols)
-    cols = [[col[i] for i in range(ns)] for col in basis]
-    # ensure the source relations are present even if projection lost them
-    for col in _columns(f.source.relation_matrix()):
-        cols.append(col)
-    return cols
-
-
-def _columns(mat) -> list[list[int]]:
-    if not mat:
-        return []
-    return [[row[j] for row in mat] for j in range(len(mat[0]))]
-
-
-def _from_columns(cols, nrows: int) -> list[list[int]]:
-    return [[col[i] for col in cols] for i in range(nrows)]
-
-
-def _subgroup_iso_class(ambient: FGAbelianGroup, gen_cols) -> FGAbelianGroup:
-    """Isomorphism class of the subgroup generated by the given columns."""
-    s = len(gen_cols)
-    if s == 0:
-        return FGAbelianGroup.trivial()
-    n = ambient.n_gens
-    aug = _hstack(_from_columns(gen_cols, n), ambient.relation_matrix())
-    ncols = s + len(ambient.torsion)
-    basis = _kernel_lattice_basis(aug, n, ncols)
-    rel_cols = [[col[i] for i in range(s)] for col in basis]
-    return FGAbelianGroup.from_presentation(s, _from_columns(rel_cols, s))
-
-
-def kernel(f: GroupHom) -> FGAbelianGroup:
-    """Isomorphism class of the kernel.
-
-    >>> Z = FGAbelianGroup.free(1)
-    >>> Z2 = FGAbelianGroup.from_invariants(0, (2,))
-    >>> str(kernel(GroupHom(Z, Z2, ((1,),))))
-    'Z'
-    """
-    return _subgroup_iso_class(f.source, _kernel_gen_columns(f))
-
-
-def image(f: GroupHom) -> FGAbelianGroup:
-    """Isomorphism class of the image."""
-    return _subgroup_iso_class(f.target, _columns([list(r) for r in f.matrix]))
-
-
-def _subgroup_key(ambient: FGAbelianGroup, gen_cols) -> tuple:
-    """Canonical key of the subgroup of ``ambient`` generated by the columns:
-    the Hermite normal form of the columns stacked with the relation vectors
-    d_i * e_i, so equal subgroups, and only they, get equal keys."""
-    return _kernel.hnf(gen_cols, ambient.gen_orders)
-
-
 def image_key(f: GroupHom) -> tuple:
-    """Canonical key of im f as a subgroup of f.target."""
-    return _subgroup_key(f.target, _columns(f.matrix))
+    """Canonical key of im f as a subgroup of f.target: the Hermite normal
+    form of the image columns stacked with the relation vectors d_i * e_i,
+    so equal subgroups, and only they, get equal keys."""
+    return _kernel.hnf(zip(*f.matrix), f.target.gen_orders)
 
 
 def kernel_key(f: GroupHom) -> tuple:
@@ -391,13 +312,65 @@ def kernel_key(f: GroupHom) -> tuple:
     well-definedness puts F R_s inside col(R_t), so the source relations
     add nothing new.  L meets 0 + Z^ns exactly in ker f, and the HNF rows
     of L that vanish on the target block are the HNF of that intersection,
-    which is the key.
+    which is the key.  The size of that HNF is checked before its rows are
+    built.
     """
     nt, ns = f.target.n_gens, f.source.n_gens
+    check_size("Hermite normal form of {} generators in {} coordinates",
+               (2 * ns + nt) * (ns + nt), ns, ns + nt)
     rows = [[row[j] for row in f.matrix] + [int(i == j) for i in range(ns)]
             for j in range(ns)]
     form = _kernel.hnf(rows, f.target.gen_orders + f.source.gen_orders)
     return tuple(r[nt:] for r in form if not any(r[:nt]))
+
+
+def _key_group(key: tuple, moduli) -> FGAbelianGroup:
+    """Isomorphism class of the subgroup H of Z^n / (moduli[j] * e_j) whose
+    key is ``key``.
+
+    The key rows are a basis of the lattice H + R, R spanned by the
+    relation vectors d_j * e_j, which lie in it.  So H = (H + R) / R is
+    Z^rows modulo the coordinates of each d_j * e_j in that basis, read off
+    by walking the pivots in echelon order.  Each division there is exact:
+    a remainder left at a pivot would stay, since later rows vanish there,
+    and is raised as a broken key.
+    """
+    pivots = [next(k for k, x in enumerate(row) if x) for row in key]
+    cols = []
+    for j, d in enumerate(moduli):
+        if not d:
+            continue
+        v = [0] * len(moduli)
+        v[j] = d
+        col = []
+        for p, row in zip(pivots, key):
+            c = v[p] // row[p]
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+            col.append(c)
+        if any(v):
+            raise AssertionError(
+                f"relation vector {d} * e_{j} is not in the lattice of the "
+                f"key {key}")
+        cols.append(col)
+    return FGAbelianGroup.from_presentation(
+        len(key), [[col[i] for col in cols] for i in range(len(key))])
+
+
+def kernel(f: GroupHom) -> FGAbelianGroup:
+    """Isomorphism class of the kernel, read off its key.
+
+    >>> Z = FGAbelianGroup.free(1)
+    >>> Z2 = FGAbelianGroup.from_invariants(0, (2,))
+    >>> str(kernel(GroupHom(Z, Z2, ((1,),))))
+    'Z'
+    """
+    return _key_group(kernel_key(f), f.source.gen_orders)
+
+
+def image(f: GroupHom) -> FGAbelianGroup:
+    """Isomorphism class of the image, read off its key."""
+    return _key_group(image_key(f), f.target.gen_orders)
 
 
 @dataclass(frozen=True)
@@ -485,38 +458,22 @@ def exactness_at(seq: Sequence, at: int) -> tuple[bool, int | None,
     Exactness is equality of the keys (image_key, kernel_key).  A
     subgroup's key spans it together with the middle term's relations, so
     the subgroup's index in the middle term, None if infinite, is the key
-    lattice's index in Z^n.  The maps around ``at`` must be concrete and
-    meet at the middle term.
+    lattice's index in Z^n.  Image equal to kernel already forces the
+    composite to be zero, so no composition is formed.  The maps around
+    ``at`` must be concrete and meet at the middle term.
+
+    >>> Z = FGAbelianGroup.free(1)
+    >>> Z2 = FGAbelianGroup.from_invariants(0, (2,))
+    >>> seq = Sequence((Z, Z, Z2), (GroupHom(Z, Z, ((2,),)),
+    ...                             GroupHom(Z, Z2, ((1,),))))
+    >>> exactness_at(seq, 1)
+    (True, 2, 2)
     """
     f, g = _maps_around(seq, at)
     if f.target != g.source:
         raise IllDefinedHomError("composition endpoint mismatch")
     n, img, ker = f.target.n_gens, image_key(f), kernel_key(g)
     return img == ker, _key_index(img, n), _key_index(ker, n)
-
-
-def check_exact(seq: Sequence, at: int) -> bool:
-    """Exactness at interior term ``at``: image of the incoming map equals
-    the kernel of the outgoing one, as subgroups of the middle term.
-
-    Decided by comparing their canonical keys, as in exactness_at.  Image
-    equal to kernel already forces the composite to be zero, so no
-    composition is formed.
-
-    >>> Z = FGAbelianGroup.free(1)
-    >>> Z2 = FGAbelianGroup.from_invariants(0, (2,))
-    >>> seq = Sequence((Z, Z, Z2), (GroupHom(Z, Z, ((2,),)),
-    ...                             GroupHom(Z, Z2, ((1,),))))
-    >>> check_exact(seq, 1)
-    True
-    """
-    return exactness_at(seq, at)[0]
-
-
-def exactness_indices(seq: Sequence, at: int) -> tuple[int | None, int | None]:
-    """([middle : image], [middle : kernel]) as orders, None if infinite;
-    read off the keys check_exact compares (see exactness_at)."""
-    return exactness_at(seq, at)[1:]
 
 
 def _entry_ranges(d_src: int, e_tgt: int, bound: int) -> tuple[range, ...]:
@@ -579,6 +536,9 @@ def _term_choices(seq: Sequence):
 def _search_space(seq: Sequence, bound: int, ceiling: int) -> int:
     """Assignments before pruning, summed over the term choices.
 
+    Each unknown map's matrix size is checked before its cells are counted,
+    so a map too large to build is refused even when it has few candidates.
+
     With bound >= 0 every cell admits 0, so partial counts only grow, and
     the count stops as soon as one passes ``ceiling``: it is exact up to
     the ceiling and a lower bound above it, so a huge search space costs
@@ -589,7 +549,10 @@ def _search_space(seq: Sequence, bound: int, ceiling: int) -> int:
         subtotal = 1
         for i, m in enumerate(seq.maps):
             if isinstance(m, UnknownMap):
-                for count in _cell_counts(terms[i], terms[i + 1], bound):
+                src, tgt = terms[i], terms[i + 1]
+                check_size("candidates of unknown map {}, {} x {} matrices",
+                           src.n_gens * tgt.n_gens, i, tgt.n_gens, src.n_gens)
+                for count in _cell_counts(src, tgt, bound):
                     subtotal *= count
                     if total + subtotal > ceiling:
                         return total + subtotal
@@ -654,8 +617,9 @@ def solve_exact(seq: Sequence, bound: int,
     ``bound`` (torsion coordinates use centered representatives).  The
     assignments, before any pruning, are counted up front and a
     SearchSpaceError raised if they exceed ``max_assignments``; the count
-    stops at the first partial sum past the ceiling.  A negative ``bound``
-    raises ValueError.
+    stops at the first partial sum past the ceiling.  An unknown map whose
+    matrix has more than MAX_CELLS entries raises BoundExceededError before
+    any candidate is counted.  A negative ``bound`` raises ValueError.
 
     For each choice of unknown terms, every map's candidate homomorphisms
     are built once, and a choice that a fixed map's endpoints reject is

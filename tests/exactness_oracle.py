@@ -1,11 +1,17 @@
-"""Reference exactness test by composition and lattice membership.
+"""Reference kernels, images and exactness by the SNF kernel-lattice route.
 
-This is the body ``cliffk.abgroup.check_exact`` had before exactness became
+A subgroup given by generator columns S inside Z^n / col(R) is presented
+by the relations {c : S c in col(R)}, read off the SNF kernel lattice of
+[S | R].  This is how ``cliffk.abgroup.kernel`` and ``image`` computed
+isomorphism classes before they were read off the HNF keys, and it shares
+no key code with the library: ``kernel`` and ``image`` here are the
+oracles of the library's.
+
+``check_exact`` is the test ``cliffk.abgroup`` had before exactness became
 equality of canonical subgroup keys: the composite must vanish, and every
 kernel generator must solve into the image lattice by one SNF each.  It
-shares no key code with the library, so it serves as the exactness check of
-the product-enumeration oracle in tests/solver_oracle.py and as the oracle
-of the key tests.
+serves as the exactness check of the product-enumeration oracle in
+tests/solver_oracle.py and as the oracle of the key tests.
 
 ``kernel_key`` is the SNF route to the kernel key, the body
 ``cliffk.abgroup.kernel_key`` had before it read the key off one HNF:
@@ -13,8 +19,72 @@ kernel generators from the SNF of [G | R_target], then their HNF.
 """
 
 from cliffk import _kernel_py as _kernel
-from cliffk.abgroup import (Sequence, _hstack, _kernel_gen_columns,
-                            _maps_around)
+from cliffk.abgroup import FGAbelianGroup, Sequence, _maps_around
+
+
+def _hstack(a, b):
+    if not a and not b:
+        return []
+    if not a:
+        return [list(r) for r in b]
+    if not b:
+        return [list(r) for r in a]
+    return [list(ra) + list(rb) for ra, rb in zip(a, b, strict=True)]
+
+
+def _columns(mat) -> list[list[int]]:
+    if not mat:
+        return []
+    return [[row[j] for row in mat] for j in range(len(mat[0]))]
+
+
+def _from_columns(cols, nrows: int) -> list[list[int]]:
+    return [[col[i] for col in cols] for i in range(nrows)]
+
+
+def _kernel_lattice_basis(mat, nrows: int, ncols: int) -> list[list[int]]:
+    """Columns forming a basis of the integer kernel of ``mat``."""
+    _u, d, v = _kernel.snf([list(r) for r in mat], nrows, ncols)
+    rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i])
+    return [[v[i][j] for i in range(ncols)] for j in range(rank, ncols)]
+
+
+def _kernel_gen_columns(f) -> list[list[int]]:
+    """Generators of ker f as columns in source coordinates.
+
+    x lies in the kernel iff F x is a target relation combination, so the
+    kernel subgroup is the projection to the first block of the kernel
+    lattice of [F | R_target]; the source relations are appended.
+    """
+    ns = f.source.n_gens
+    aug = _hstack([list(r) for r in f.matrix], f.target.relation_matrix())
+    ncols = ns + len(f.target.torsion)
+    basis = _kernel_lattice_basis(aug, f.target.n_gens, ncols)
+    cols = [[col[i] for i in range(ns)] for col in basis]
+    return cols + _columns(f.source.relation_matrix())
+
+
+def _subgroup_iso_class(ambient: FGAbelianGroup, gen_cols) -> FGAbelianGroup:
+    """Isomorphism class of the subgroup generated by the given columns."""
+    s = len(gen_cols)
+    if s == 0:
+        return FGAbelianGroup.trivial()
+    n = ambient.n_gens
+    aug = _hstack(_from_columns(gen_cols, n), ambient.relation_matrix())
+    ncols = s + len(ambient.torsion)
+    basis = _kernel_lattice_basis(aug, n, ncols)
+    rel_cols = [[col[i] for i in range(s)] for col in basis]
+    return FGAbelianGroup.from_presentation(s, _from_columns(rel_cols, s))
+
+
+def kernel(f) -> FGAbelianGroup:
+    """Isomorphism class of ker f, by the SNF kernel lattice."""
+    return _subgroup_iso_class(f.source, _kernel_gen_columns(f))
+
+
+def image(f) -> FGAbelianGroup:
+    """Isomorphism class of im f, by the SNF kernel lattice."""
+    return _subgroup_iso_class(f.target, _columns(f.matrix))
 
 
 def _lattice_member(mat, nrows: int, ncols: int, vec) -> bool:
@@ -37,7 +107,7 @@ def kernel_key(g) -> tuple:
 
 
 def check_exact(seq: Sequence, at: int) -> bool:
-    """Same contract as cliffk.abgroup.check_exact.
+    """Exactness at interior term ``at``, as ``exactness_at(seq, at)[0]``.
 
     The composite being zero gives image inside kernel; the reverse
     containment is checked on kernel generators against the image lattice

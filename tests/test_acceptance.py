@@ -17,7 +17,7 @@ from cliffk.abgroup import (
     FGAbelianGroup,
     GroupHom,
     Sequence,
-    check_exact,
+    exactness_at,
     smith_normal_form,
     solve_exact,
 )
@@ -241,7 +241,7 @@ def test_criterion_8_abgroup_property_suite(report):
         img = {f.apply(x) for x in a.elements()}
         ker = {x for x in b.elements() if not any(g.apply(x))}
         want = img == ker
-        got = check_exact(Sequence((a, b, c), (f, g)), 1)
+        got = exactness_at(Sequence((a, b, c), (f, g)), 1)[0]
         if got != want:
             exact_ok = False
         outcomes[want] += 1

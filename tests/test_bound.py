@@ -10,8 +10,9 @@ import time
 import pytest
 
 import cliffk
-from cliffk import _kernel_py, blades, errors, reps, structure
-from cliffk.abgroup import FGAbelianGroup, GroupHom, smith_normal_form
+from cliffk import _kernel_py, abgroup, blades, errors, reps, structure
+from cliffk.abgroup import (UNKNOWN_MAP, FGAbelianGroup, GroupHom, Sequence,
+                            kernel_key, smith_normal_form, solve_exact)
 from cliffk.blades import Signature, center_basis
 from cliffk.errors import MAX_CELLS, BoundExceededError
 from cliffk.ktheory import KTheory, point_k, reduced_k_rpn, thom_stability
@@ -22,6 +23,15 @@ from cliffk.scalars import ScalarField
 R = ScalarField.REAL
 C = ScalarField.COMPLEX
 Z = FGAbelianGroup.free(1)
+TRIV = FGAbelianGroup.trivial()
+
+
+def power(d: int, k: int) -> FGAbelianGroup:
+    return FGAbelianGroup(0, (d,) * k)
+
+
+def unknown_map(ns: int, nt: int) -> Sequence:
+    return Sequence((power(2, ns), power(3, nt)), (UNKNOWN_MAP,))
 
 # the only max_* parameters left in the public surface
 ALLOWED_KNOBS = {("verify_classification", "max_total"),
@@ -97,6 +107,16 @@ SITES = {
     "smith_normal_form": (_kernel_py, "Smith normal form",
                           lambda: smith_normal_form([[1] * 1023]),
                           lambda: smith_normal_form([[1] * 1024])),
+    # the kernel key's HNF of s rows in s + t coordinates, (2s + t)(s + t)
+    # entries, checked before the rows are built
+    "kernel_key": (abgroup, "Hermite normal form",
+                   lambda: kernel_key(GroupHom.zero(power(3, 724), TRIV)),
+                   lambda: kernel_key(GroupHom.zero(power(3, 725), TRIV))),
+    # an unknown map's candidate matrices, checked before they are counted:
+    # Z/2 -> Z/3 has the zero map only, so no ceiling stops the search
+    "solve_exact": (abgroup, "candidates of unknown map",
+                    lambda: solve_exact(unknown_map(1024, 1024), 1),
+                    lambda: solve_exact(unknown_map(1024, 1025), 1)),
 }
 
 
@@ -129,6 +149,15 @@ def test_first_refused_size(site):
     with pytest.raises(BoundExceededError):
         refused()
     assert time.perf_counter() - start < 1
+
+
+def test_kernel_key_refuses_before_building_rows():
+    # its 5000 rows of 5000 entries would take seconds to build
+    f = GroupHom.zero(power(3, 5000), TRIV)
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError):
+        kernel_key(f)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_bound_is_inclusive():

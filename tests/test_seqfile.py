@@ -15,7 +15,7 @@ from cliffk.abgroup import (
     GroupHom,
     UnknownGroup,
     UnknownMap,
-    check_exact,
+    exactness_at,
     solve_exact,
 )
 from cliffk.errors import SequenceParseError
@@ -98,8 +98,8 @@ class TestParsing:
     def test_to_sequence_positions(self):
         seq = parse_sequence_file(BASIC).to_sequence()
         assert seq.exact_at == (1, 2)
-        assert check_exact(seq, 1)
-        assert check_exact(seq, 2)
+        assert exactness_at(seq, 1)[0]
+        assert exactness_at(seq, 2)[0]
 
 
 class TestParseErrors:
@@ -287,7 +287,7 @@ class TestShippedFile:
         assert sf.check_at == ("KO0", "KOm1")
         assert not sf.has_unknowns
         seq = sf.to_sequence()
-        assert all(check_exact(seq, pos) for pos in seq.exact_at)
+        assert all(exactness_at(seq, pos)[0] for pos in seq.exact_at)
 
     def test_matches_solver_output(self):
         # the shipped assignment is one of the two the solver finds when the
