@@ -18,19 +18,17 @@ from .errors import (MAX_CELLS, BoundExceededError, CliffkError,
                      EmbeddingError, IllDefinedHomError, InvalidBladeError,
                      InvalidGroupError, InvalidSignatureError,
                      SearchSpaceError, SequenceParseError)
-from .ktheory import (FiberTwistReport, ForgetfulFunctor, KTheory, RelativeK,
-                      ThomStabilityReport, adams_f, bott_sequence_instance,
-                      fiber_twist_check, forgetful_k_map, k0, point_k,
-                      reduced_k_rpn, relative_k, sequence_E_point_instance,
-                      thom_stability)
+from .ktheory import (FiberTwistReport, KTheory, RelativeK, ThomStabilityReport,
+                      bott_sequence_instance, fiber_twist_check,
+                      forgetful_k_map, k0, point_k, reduced_k_rpn, relative_k,
+                      sequence_E_point_instance, thom_stability)
 from .reps import (MatrixRep, UnitPermMatrix, build_rep, check_relations,
                    untwist_split_check, verify_classification,
                    verify_periodicity_iso)
 from .scalars import ScalarField
 from .seqfile import SequenceFile, parse_sequence_file
 from .structure import (AlgebraDescriptor, DivisionRing, classify, irrep_dims,
-                        irrep_end_dim, min_faithful_dim,
-                        restriction_multiplicities)
+                        min_faithful_dim, restriction_multiplicities)
 
 __version__ = "0.1.0"
 
@@ -40,18 +38,17 @@ BACKEND = "pure"
 __all__ = [
     "AlgebraDescriptor", "BACKEND", "BoundExceededError", "CliffkError",
     "DivisionRing", "EmbeddingError", "FGAbelianGroup", "FiberTwistReport",
-    "ForgetfulFunctor", "GroupHom", "IllDefinedHomError", "InvalidBladeError",
+    "GroupHom", "IllDefinedHomError", "InvalidBladeError",
     "InvalidGroupError", "InvalidSignatureError", "KTheory", "MAX_CELLS",
     "MatrixRep", "RelativeK", "ScalarField", "Sequence", "SequenceFile",
     "SequenceParseError", "SearchSpaceError", "Signature",
     "ThomStabilityReport", "UNKNOWN_MAP", "UnitPermMatrix", "UnknownGroup",
-    "UnknownMap", "adams_f", "blade_grade", "blade_mul",
-    "bott_sequence_instance", "build_rep", "center_basis", "check_relations",
-    "classify", "cokernel", "exactness_at", "fiber_twist_check",
-    "forgetful_k_map", "image", "irrep_dims", "irrep_end_dim", "k0", "kernel",
-    "min_faithful_dim",
-    "parse_sequence_file", "point_k", "reduced_k_rpn", "relative_k",
-    "restriction_multiplicities", "sequence_E_point_instance",
-    "smith_normal_form", "solve_exact", "thom_stability",
-    "untwist_split_check", "verify_classification", "verify_periodicity_iso",
+    "UnknownMap", "blade_grade", "blade_mul", "bott_sequence_instance",
+    "build_rep", "center_basis", "check_relations", "classify", "cokernel",
+    "exactness_at", "fiber_twist_check", "forgetful_k_map", "image",
+    "irrep_dims", "k0", "kernel", "min_faithful_dim", "parse_sequence_file",
+    "point_k", "reduced_k_rpn", "relative_k", "restriction_multiplicities",
+    "sequence_E_point_instance", "smith_normal_form", "solve_exact",
+    "thom_stability", "untwist_split_check", "verify_classification",
+    "verify_periodicity_iso",
 ]

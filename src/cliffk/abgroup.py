@@ -124,6 +124,8 @@ class FGAbelianGroup:
                for row in rel):
             raise InvalidGroupError(
                 "relation matrix must be rectangular, with integer entries")
+        if not ncols:
+            return cls.free(n_gens)
         _u, d, _v = _kernel.snf(rel, n_gens, ncols)
         diag = [d[i][i] for i in range(min(n_gens, ncols))]
         nonzero = [x for x in diag if x]

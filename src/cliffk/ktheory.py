@@ -3,14 +3,16 @@
 Everything here reduces to one mechanism: the K0 group of C^{p,q} is free
 on its simple factors, an algebra inclusion induces the restriction
 multiplicity matrix on K0, and the interesting groups are kernels and
-cokernels of those integer maps.  Degree towers use the signature ladders
-(i,0) over (i-1,0).  The multiplicities are read off the classification
-table of cliffk.structure in closed form; no representation is built here.
-So the 8- and 2-fold periodicity of the tables comes from the
-classification table, and acceptance criterion 1 checks that table against
-explicit representations (cliffk.reps.verify_classification).  Periodicity
-is not assumed: it falls out of the computed tables and is checked by
-recomputation.
+cokernels of those integer maps.  There is one degree ladder: for i >= 1
+the degree -i group is the cokernel along C^{i-1,0} in C^{i,0}
+(Atiyah-Bott-Shapiro, "Clifford modules", section 5), and _ladder is the
+only place that names that pair.  The multiplicities are read off the
+classification table of cliffk.structure in closed form; no representation
+is built here.  So the 8- and 2-fold periodicity of the tables comes from
+the classification table, and acceptance criterion 1 checks that table
+against explicit representations (cliffk.reps.verify_classification).
+Periodicity is not assumed: it falls out of the computed tables and is
+checked by recomputation.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple
 from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
                       cokernel, kernel)
 from .blades import Signature
-from .errors import EmbeddingError, InvalidSignatureError
+from .errors import InvalidSignatureError
 from .scalars import ScalarField
 from .structure import classify, restriction_multiplicities
 
@@ -43,24 +45,6 @@ class KTheory(Enum):
         return 8 if self is KTheory.KO else 2
 
 
-@dataclass(frozen=True)
-class ForgetfulFunctor:
-    """Restriction of modules along an initial-segment inclusion of
-    signatures, recorded with the scalar field it lives over."""
-
-    big: Signature
-    small: Signature
-    field: ScalarField = ScalarField.REAL
-
-    def __post_init__(self):
-        if not self.big.contains(self.small):
-            raise EmbeddingError(
-                f"{self.small} does not embed in {self.big}")
-
-    def __str__(self):
-        return f"{self.big} -> {self.small} ({self.field.value})"
-
-
 def k0(sig: Signature, field: ScalarField = ScalarField.REAL) -> FGAbelianGroup:
     """Grothendieck group of finitely generated modules: Z^(simple factors).
 
@@ -72,18 +56,17 @@ def k0(sig: Signature, field: ScalarField = ScalarField.REAL) -> FGAbelianGroup:
     return FGAbelianGroup.free(classify(sig, field).factors)
 
 
-def forgetful_k_map(functor: ForgetfulFunctor) -> GroupHom:
-    """The K0 map of a forgetful functor: the restriction multiplicity
-    matrix, one column per big simple factor, one row per small one.
+def forgetful_k_map(big: Signature, small: Signature,
+                    field: ScalarField = ScalarField.REAL) -> GroupHom:
+    """The K0 map of restriction along small in big: the restriction
+    multiplicity matrix, one column per big simple factor, one row per
+    small one.  EmbeddingError when small does not embed in big.
 
-    >>> f = forgetful_k_map(ForgetfulFunctor(Signature(1, 0), Signature(0, 0)))
-    >>> f.matrix
+    >>> forgetful_k_map(Signature(1, 0), Signature(0, 0)).matrix
     ((2,),)
     """
-    matrix = restriction_multiplicities(functor.big, functor.small,
-                                        functor.field)
-    return GroupHom(k0(functor.big, functor.field),
-                    k0(functor.small, functor.field), matrix)
+    matrix = restriction_multiplicities(big, small, field)
+    return GroupHom(k0(big, field), k0(small, field), matrix)
 
 
 class RelativeK(NamedTuple):
@@ -96,26 +79,15 @@ class RelativeK(NamedTuple):
         return f"(coker {self.coker}, ker {self.ker})"
 
 
-def relative_k(functor: ForgetfulFunctor) -> RelativeK:
+def relative_k(big: Signature, small: Signature,
+               field: ScalarField = ScalarField.REAL) -> RelativeK:
     """Cokernel and kernel of the K0 restriction map.
 
-    >>> str(relative_k(ForgetfulFunctor(Signature(1, 0), Signature(0, 0))))
+    >>> str(relative_k(Signature(1, 0), Signature(0, 0)))
     '(coker Z/2, ker 0)'
     """
-    f = forgetful_k_map(functor)
+    f = forgetful_k_map(big, small, field)
     return RelativeK(cokernel(f), kernel(f))
-
-
-def adams_f(n: int) -> int:
-    """#{0 < s <= n : s = 0, 1, 2, 4 mod 8}; independent order oracle for
-    projective-space K groups.
-
-    >>> [adams_f(n) for n in (0, 4, 9)]
-    [0, 3, 5]
-    """
-    if n < 0:
-        raise InvalidSignatureError("n must be non-negative")
-    return sum(1 for s in range(1, n + 1) if s % 8 in (0, 1, 2, 4))
 
 
 def reduced_k_rpn(n: int, theory: KTheory = KTheory.KO) -> FGAbelianGroup:
@@ -129,14 +101,19 @@ def reduced_k_rpn(n: int, theory: KTheory = KTheory.KO) -> FGAbelianGroup:
     """
     if n < 1:
         raise InvalidSignatureError("n must be positive")
-    functor = ForgetfulFunctor(Signature(n, 0), Signature(0, 0), theory.field)
-    return cokernel(forgetful_k_map(functor))
+    return cokernel(forgetful_k_map(Signature(n, 0), Signature(0, 0),
+                                    theory.field))
+
+
+def _ladder(i: int) -> tuple[Signature, Signature]:
+    """The inclusion C^{i-1,0} in C^{i,0} whose cokernel is degree -i."""
+    return Signature(i, 0), Signature(i - 1, 0)
 
 
 @lru_cache(maxsize=None)
 def point_k(i: int, theory: KTheory = KTheory.KO) -> FGAbelianGroup:
     """Degree -i K group of a point: Z at i = 0 by definition, and for
-    i >= 1 the cokernel of the K0 restriction along (i,0) over (i-1,0).
+    i >= 1 the cokernel of the K0 restriction along _ladder(i).
 
     >>> str(point_k(1, KTheory.KO))
     'Z/2'
@@ -149,9 +126,7 @@ def point_k(i: int, theory: KTheory = KTheory.KO) -> FGAbelianGroup:
         raise InvalidSignatureError("degree index must be non-negative")
     if i == 0:
         return FGAbelianGroup.free(1)
-    functor = ForgetfulFunctor(Signature(i, 0), Signature(i - 1, 0),
-                               theory.field)
-    return cokernel(forgetful_k_map(functor))
+    return cokernel(forgetful_k_map(*_ladder(i), theory.field))
 
 
 @dataclass(frozen=True)
@@ -161,8 +136,8 @@ class ThomStabilityReport:
     period_checks compares the (coker, ker) pair at growth parameter m
     against m+8, both computed from scratch.  shift_checks compares the
     growth tower against the degree tower at the residue the derivation
-    records: the pair of (0,m+1) over (0,m) must match the pair of (j,0)
-    over (j-1,0) at j = ((m-2) mod 8) + 1.
+    records: the pair of (0,m+1) over (0,m) must match the pair of the
+    degree ladder _ladder(j) at j = ((m-2) mod 8) + 1.
     """
 
     n: int
@@ -192,8 +167,8 @@ class ThomStabilityReport:
 def thom_stability(n: int, r_max: int) -> ThomStabilityReport:
     """r-independence of the relative K pair for rank growth over a point.
 
-    For each 0 <= r <= r_max, with m = n + r, the pair of the forgetful
-    functor (0, m+1) over (0, m) is recomputed at m and at m + 8 and
+    For each 0 <= r <= r_max, with m = n + r, the pair of the restriction
+    along (0, m+1) over (0, m) is recomputed at m and at m + 8 and
     compared, and additionally matched against the degree tower at the
     shifted residue.  Truthiness of the report is the conjunction.
     """
@@ -201,12 +176,7 @@ def thom_stability(n: int, r_max: int) -> ThomStabilityReport:
         raise InvalidSignatureError("n and r_max must be non-negative")
 
     def growth_pair(m: int) -> RelativeK:
-        functor = ForgetfulFunctor(Signature(0, m + 1), Signature(0, m))
-        return relative_k(functor)
-
-    def degree_pair(j: int) -> RelativeK:
-        functor = ForgetfulFunctor(Signature(j, 0), Signature(j - 1, 0))
-        return relative_k(functor)
+        return relative_k(Signature(0, m + 1), Signature(0, m))
 
     period_checks = []
     shift_checks = []
@@ -215,28 +185,23 @@ def thom_stability(n: int, r_max: int) -> ThomStabilityReport:
         low, high = growth_pair(m), growth_pair(m + 8)
         period_checks.append((m, low, high, low == high))
         j = ((m - 2) % 8) + 1
-        deg = degree_pair(j)
+        deg = relative_k(*_ladder(j))
         shift_checks.append((m, j, low, deg, low == deg))
     return ThomStabilityReport(n, r_max, tuple(period_checks),
                                tuple(shift_checks))
 
 
 def bott_sequence_instance(i: int) -> Sequence:
-    """Degree -i instance of the four-term comparison sequence
-    KU^-i -> KO^-i -> KO^-(i+1) -> KU^-(i-1), terms computed from point_k,
-    maps left unknown for the exact solver, exactness marked at the two
-    interior positions.
-
-    The trailing complex term at i = 0 sits in positive degree; it is
-    filled from the computed degree-1 complex group, which the period-2
-    table identifies with it.
+    """Degree -i window of Wood's sequence
+    KU^-i -> KO^-i -> KO^-(i+1) -> KU^-(i+1) (Karoubi, K-Theory, III.5),
+    every term read off the one degree ladder by point_k, maps left unknown
+    for the exact solver, exactness marked at the two interior positions.
     """
     if i < 0:
         raise InvalidSignatureError("degree index must be non-negative")
-    tail_index = i - 1 if i >= 1 else 1
     terms = (point_k(i, KTheory.KU), point_k(i, KTheory.KO),
-             point_k(i + 1, KTheory.KO), point_k(tail_index, KTheory.KU))
-    names = (f"KU^-{i}", f"KO^-{i}", f"KO^-{i + 1}", f"KU^-{tail_index}")
+             point_k(i + 1, KTheory.KO), point_k(i + 1, KTheory.KU))
+    names = (f"KU^-{i}", f"KO^-{i}", f"KO^-{i + 1}", f"KU^-{i + 1}")
     return Sequence(terms, (UNKNOWN_MAP, UNKNOWN_MAP, UNKNOWN_MAP),
                     names=names, exact_at=(1, 2))
 

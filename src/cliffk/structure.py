@@ -187,20 +187,6 @@ def restriction_multiplicities(big: Signature, small: Signature,
     return ((mult,) * len(dims_b),) * len(dims_s)
 
 
-def irrep_end_dim(sig: Signature, field: ScalarField = ScalarField.REAL,
-                  label=None) -> int:
-    """dim over the scalar field of End of one simple module: dim D.
-
-    ``label`` picks the summand (+1 or -1) for two-factor algebras; both
-    summands have the same division ring.  Over C it is 1.  The tests check
-    it against character pairings and intertwiner solves.
-    """
-    desc = classify(sig, field)
-    if desc.factors == 2 and label not in (1, -1):
-        raise ValueError("two-factor algebra needs a +-1 summand label")
-    return desc.ring.dim_real if field is ScalarField.REAL else 1
-
-
 def min_faithful_dim(sig: Signature, field: ScalarField = ScalarField.REAL) -> int:
     """Smallest dimension of a faithful module: one copy of each simple module."""
     return sum(irrep_dims(sig, field))

@@ -156,7 +156,8 @@ def restriction_multiplicities(big: Signature, small: Signature,
 
 def irrep_end_dim(sig: Signature, field: ScalarField = _REAL,
                   label=None) -> int:
-    """Same contract as cliffk.structure.irrep_end_dim, as <chi, chi>."""
+    """dim over the field of End of the simple module picked by ``label``
+    (+1 or -1 for two-factor algebras), as <chi, chi>."""
     desc = classify(sig, field)
     if desc.factors == 2 and label not in (1, -1):
         raise ValueError("two-factor algebra needs a +-1 summand label")

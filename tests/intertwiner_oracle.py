@@ -221,7 +221,8 @@ def restriction_multiplicities(big: Signature, small: Signature,
 
 def irrep_end_dim(sig: Signature, field: ScalarField = _REAL,
                   label=None) -> int:
-    """Same contract as cliffk.structure.irrep_end_dim, by an explicit solve."""
+    """dim over the field of End of the simple module picked by ``label``
+    (+1 or -1 for two-factor algebras), by an explicit solve."""
     rep = build_rep(sig, field)
     cond = None
     if classify(sig, field).factors == 2:

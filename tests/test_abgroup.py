@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cliffk.abgroup
 import exactness_oracle
 import solver_oracle
 from cliffk.abgroup import (
@@ -180,6 +181,17 @@ class TestFGAbelianGroup:
         assert FGAbelianGroup.from_presentation(0, []) == TRIV
         with pytest.raises(ValueError):
             FGAbelianGroup.from_presentation(2, [[1]])
+
+    def test_no_relations_run_no_snf(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("SNF of an empty relation matrix")
+
+        monkeypatch.setattr(cliffk.abgroup._kernel, "snf", refuse)
+        for n in (0, 1, 3, 2000):
+            assert FGAbelianGroup.from_presentation(n, [[]] * n) == \
+                FGAbelianGroup.free(n)
+        with pytest.raises(InvalidGroupError):
+            FGAbelianGroup.from_presentation(2, [[], [1]])
 
     def test_order_and_elements(self):
         g = FGAbelianGroup.from_invariants(0, (2, 4))

@@ -13,6 +13,7 @@ from math import gcd
 
 import pytest
 
+from adams_oracle import adams_f
 from cliffk.abgroup import (
     FGAbelianGroup,
     GroupHom,
@@ -24,7 +25,6 @@ from cliffk.abgroup import (
 from cliffk.blades import Signature
 from cliffk.ktheory import (
     KTheory,
-    adams_f,
     bott_sequence_instance,
     fiber_twist_check,
     point_k,

@@ -25,10 +25,10 @@ TEMPLATE = """\
 term KU0 = Z
 term KO0 = Z
 term KOm1 = Z/2
-term KU1 = 0
+term KUm1 = 0
 map r : KU0 -> KO0 = unknown
 map eta : KO0 -> KOm1 = unknown
-map c : KOm1 -> KU1 = unknown
+map c : KOm1 -> KUm1 = unknown
 check exact at KO0, KOm1
 solve bound = 2
 """
@@ -159,10 +159,10 @@ class TestSeqCheck:
         ]
 
     def test_failing_map_reports_indices(self, capsys, tmp_path):
-        text = ("term KU0 = Z\nterm KO0 = Z\nterm KOm1 = Z/2\nterm KU1 = 0\n"
+        text = ("term KU0 = Z\nterm KO0 = Z\nterm KOm1 = Z/2\nterm KUm1 = 0\n"
                 "map r : KU0 -> KO0 = [[4]]\n"
                 "map eta : KO0 -> KOm1 = [[1]]\n"
-                "map c : KOm1 -> KU1 = [[0]]\n"
+                "map c : KOm1 -> KUm1 = [[0]]\n"
                 "check exact at KO0, KOm1\n")
         path = tmp_path / "broken.seq"
         path.write_text(text)

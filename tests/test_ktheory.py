@@ -2,17 +2,17 @@
 
 import pytest
 
+import cliffk.ktheory
 import cliffk.reps
-from cliffk.abgroup import FGAbelianGroup, UnknownMap, solve_exact
+from adams_oracle import adams_f
+from cliffk.abgroup import FGAbelianGroup, UnknownMap, cokernel, solve_exact
 from cliffk.blades import Signature
 from cliffk.cli import main
 from cliffk.errors import (BoundExceededError, EmbeddingError,
                            InvalidSignatureError)
 from cliffk.ktheory import (
-    ForgetfulFunctor,
     KTheory,
     RelativeK,
-    adams_f,
     bott_sequence_instance,
     fiber_twist_check,
     forgetful_k_map,
@@ -23,6 +23,7 @@ from cliffk.ktheory import (
     sequence_E_point_instance,
     thom_stability,
 )
+from cliffk.structure import classify
 
 KO, KU = KTheory.KO, KTheory.KU
 Z = FGAbelianGroup.free(1)
@@ -51,52 +52,59 @@ class TestK0AndForgetful:
         assert k0(Signature(0, 1)) == FGAbelianGroup.free(2)
         assert k0(Signature(1, 0), KU.field) == FGAbelianGroup.free(2)
 
-    def test_functor_requires_embedding(self):
-        with pytest.raises(EmbeddingError):
-            ForgetfulFunctor(Signature(1, 0), Signature(0, 2))
+    def test_functor_requires_embedding(self, monkeypatch):
+        # the restriction matrix comes first: no K0 group is built for a
+        # pair that does not embed
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a K0 group was built")
+
+        monkeypatch.setattr(cliffk.ktheory, "k0", refuse)
+        for call in (forgetful_k_map, relative_k):
+            with pytest.raises(EmbeddingError,
+                               match=r"C\^\{0,2\} does not embed in "
+                                     r"C\^\{1,0\}"):
+                call(Signature(1, 0), Signature(0, 2))
 
     def test_forgetful_matrices(self):
-        f = forgetful_k_map(ForgetfulFunctor(Signature(1, 0), Signature(0, 0)))
+        f = forgetful_k_map(Signature(1, 0), Signature(0, 0))
         assert f.matrix == ((2,),)
         assert f.source == Z and f.target == Z
 
-        f = forgetful_k_map(ForgetfulFunctor(Signature(3, 0), Signature(0, 0)))
+        f = forgetful_k_map(Signature(3, 0), Signature(0, 0))
         assert f.matrix == ((4, 4),)
         assert f.source == FGAbelianGroup.free(2)
 
-        f = forgetful_k_map(ForgetfulFunctor(Signature(4, 0), Signature(3, 0)))
+        f = forgetful_k_map(Signature(4, 0), Signature(3, 0))
         assert f.matrix == ((1,), (1,))
 
     def test_generator_bound_propagates(self):
         # classify's digit limit: 2**14285 has too many decimal digits
-        functor = ForgetfulFunctor(Signature(14285, 0), Signature(14284, 0))
         with pytest.raises(BoundExceededError):
-            forgetful_k_map(functor)
+            forgetful_k_map(Signature(14285, 0), Signature(14284, 0))
 
 
 class TestRelativeK:
     def test_examples(self):
-        got = relative_k(ForgetfulFunctor(Signature(1, 0), Signature(0, 0)))
+        got = relative_k(Signature(1, 0), Signature(0, 0))
         assert got == RelativeK(cyclic(2), TRIV)
         assert str(got) == "(coker Z/2, ker 0)"
 
-        got = relative_k(ForgetfulFunctor(Signature(3, 0), Signature(0, 0)))
+        got = relative_k(Signature(3, 0), Signature(0, 0))
         assert got == RelativeK(cyclic(4), Z)
 
-        same = ForgetfulFunctor(Signature(2, 0), Signature(2, 0))
-        assert relative_k(same) == RelativeK(TRIV, TRIV)
+        same = relative_k(Signature(2, 0), Signature(2, 0))
+        assert same == RelativeK(TRIV, TRIV)
 
     @pytest.mark.parametrize("big,small", [
         ((1, 0), (0, 0)), ((2, 0), (1, 0)), ((3, 0), (2, 0)),
         ((0, 2), (0, 1)), ((2, 1), (2, 0)), ((3, 0), (0, 0)),
     ])
     def test_invariant_under_diagonal_shift(self, big, small):
-        base = relative_k(ForgetfulFunctor(Signature(*big), Signature(*small)))
+        base = relative_k(Signature(*big), Signature(*small))
         for shift in (1, 2):
-            shifted = ForgetfulFunctor(
-                Signature(big[0] + shift, big[1] + shift),
-                Signature(small[0] + shift, small[1] + shift))
-            assert relative_k(shifted) == base
+            shifted = relative_k(Signature(big[0] + shift, big[1] + shift),
+                                 Signature(small[0] + shift, small[1] + shift))
+            assert shifted == base
 
 
 class TestAdamsCount:
@@ -112,7 +120,6 @@ class TestAdamsCount:
 NEGATIVE_DEGREES = {
     "point_k(-1)": lambda: point_k(-1),
     "reduced_k_rpn(0)": lambda: reduced_k_rpn(0),
-    "adams_f(-1)": lambda: adams_f(-1),
     "thom_stability(-1, 0)": lambda: thom_stability(-1, 0),
     "thom_stability(0, -1)": lambda: thom_stability(0, -1),
     "bott_sequence_instance(-1)": lambda: bott_sequence_instance(-1),
@@ -160,6 +167,28 @@ class TestPointTower:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             point_k(-1)
+
+
+def step_coker(p: int, q: int, theory: KTheory) -> FGAbelianGroup:
+    """Cokernel of the K0 restriction along C^{p,q} in C^{p+1,q}."""
+    return cokernel(forgetful_k_map(Signature(p + 1, q), Signature(p, q),
+                                    theory.field))
+
+
+@pytest.mark.parametrize("theory", [KO, KU], ids=["ko", "ku"])
+def test_periodicity_is_recomputed_not_assumed(theory):
+    # every p, q <= 12, each group from a cold classify: the step cokernel
+    # is invariant under (1,1), under the theory's period in p, and on the
+    # diagonal p >= q it is the degree -(p-q+1) point group
+    for p in range(13):
+        for q in range(13):
+            classify.cache_clear()
+            point_k.cache_clear()
+            base = step_coker(p, q, theory)
+            assert step_coker(p + 1, q + 1, theory) == base, (p, q)
+            assert step_coker(p + theory.period, q, theory) == base, (p, q)
+            if p >= q:
+                assert point_k(p - q + 1, theory) == base, (p, q)
 
 
 class TestThomStability:
@@ -216,7 +245,7 @@ class TestBottSequence:
 
     def test_names(self):
         seq = bott_sequence_instance(2)
-        assert seq.names == ("KU^-2", "KO^-2", "KO^-3", "KU^-1")
+        assert seq.names == ("KU^-2", "KO^-2", "KO^-3", "KU^-3")
         assert bott_sequence_instance(0).names[-1] == "KU^-1"
 
     @pytest.mark.parametrize("i", range(8))

@@ -23,7 +23,7 @@ from cliffk.reps import (
     verify_periodicity_iso,
 )
 from cliffk.scalars import ScalarField
-from cliffk.structure import (classify, irrep_dims, irrep_end_dim,
+from cliffk.structure import (classify, irrep_dims,
                               min_faithful_dim, restriction_multiplicities)
 
 R = ScalarField.REAL
@@ -439,6 +439,11 @@ SIGS_UP_TO_8 = [Signature(p, n - p) for n in range(9) for p in range(n + 1)]
 SIGS_UP_TO_12 = [Signature(p, n - p) for n in range(13) for p in range(n + 1)]
 
 
+def ring_end_dim(sig: Signature, field: ScalarField) -> int:
+    """dim over the field of End of a simple module: dim D, or 1 over C."""
+    return classify(sig, field).ring.dim_real if field is R else 1
+
+
 class TestAgainstIntertwinerOracle:
     """The closed form agrees with character pairings and with explicit
     intertwiner solves on the built representations."""
@@ -460,9 +465,8 @@ class TestAgainstIntertwinerOracle:
         for sig in SIGS_UP_TO_12:
             labels = (1, -1) if classify(sig, field).factors == 2 else (None,)
             for label in labels:
-                assert irrep_end_dim(sig, field, label) == \
-                    character_oracle.irrep_end_dim(sig, field, label), \
-                    (sig, label)
+                assert character_oracle.irrep_end_dim(sig, field, label) == \
+                    ring_end_dim(sig, field), (sig, label)
 
     @pytest.mark.parametrize("field", [R, C], ids=["real", "complex"])
     def test_restriction_exhaustive(self, field):
@@ -480,32 +484,31 @@ class TestAgainstIntertwinerOracle:
         for sig in SIGS_UP_TO_8:
             labels = (1, -1) if classify(sig, field).factors == 2 else (None,)
             for label in labels:
-                assert irrep_end_dim(sig, field, label) == \
-                    oracle.irrep_end_dim(sig, field, label), (sig, label)
+                assert oracle.irrep_end_dim(sig, field, label) == \
+                    ring_end_dim(sig, field), (sig, label)
 
 
 class TestEndomorphismDimensions:
-    """The division-ring constants are realized by the representations."""
+    """The division-ring constants are fixed by the built representations.
+
+    build_rep gives one copy of each of the f simple modules, each of
+    dimension s = k dim D over an algebra of dimension 2**n = f k**2 dim D,
+    so f s**2 = 2**n dim End: the module's size alone pins dim End.
+    """
 
     @pytest.mark.parametrize("sig", [s for s in ALL_SMALL if s.n <= 4],
                              ids=str)
     def test_real_end_dims_match_ring(self, sig):
         desc = classify(sig)
-        labels = (1, -1) if desc.factors == 2 else (None,)
-        for label in labels:
-            assert irrep_end_dim(sig, R, label) == desc.ring.dim_real
+        simple = build_rep(sig, R).dim // desc.factors
+        assert desc.factors * simple ** 2 == sig.dim * desc.ring.dim_real
 
     @pytest.mark.parametrize("sig", [s for s in ALL_SMALL if s.n <= 4],
                              ids=str)
     def test_complex_end_dims_are_one(self, sig):
-        desc = classify(sig, C)
-        labels = (1, -1) if desc.factors == 2 else (None,)
-        for label in labels:
-            assert irrep_end_dim(sig, C, label) == 1
-
-    def test_two_factor_algebra_needs_label(self):
-        with pytest.raises(ValueError):
-            irrep_end_dim(Signature(3, 0))
+        factors = classify(sig, C).factors
+        simple = build_rep(sig, C).dim // factors
+        assert factors * simple ** 2 == sig.dim
 
 
 class TestStructuralIsomorphisms:

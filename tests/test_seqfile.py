@@ -283,7 +283,7 @@ class TestRendering:
 class TestShippedFile:
     def test_parses_and_is_exact(self):
         sf = parse_sequence_file(SHIPPED.read_text())
-        assert sf.term_names == ("KU0", "KO0", "KOm1", "KU1")
+        assert sf.term_names == ("KU0", "KO0", "KOm1", "KUm1")
         assert sf.check_at == ("KO0", "KOm1")
         assert not sf.has_unknowns
         seq = sf.to_sequence()

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cliffk
+from adams_oracle import adams_f
 from cliffk.blades import Signature, center_basis
 from cliffk.errors import InvalidSignatureError
 from cliffk.scalars import ScalarField
@@ -131,7 +132,6 @@ def test_irrep_dims():
 
 def test_irrep_dim_matches_adams_dimension():
     # each irreducible real (n,0)-module has the Adams dimension 2^f(n)
-    from cliffk.ktheory import adams_f
     for n in range(1, 13):
         dims = irrep_dims(Signature(n, 0))
         assert set(dims) == {2 ** adams_f(n)}, n
