@@ -6,8 +6,10 @@ restriction multiplicities read off it, explicit minimal representations
 on integer codes that check the classification, finitely generated
 abelian groups with an exact-sequence solver, and the K-theory tables
 built on the classification and the group layer.  All arithmetic is on
-integers.  The integer linear algebra runs in one pure-Python kernel
-module, cliffk._kernel_py.
+integers.  Each integer algorithm lives in the module that uses it: the
+blade product in cliffk.blades, the Smith and Hermite normal forms in
+cliffk.abgroup.  So there is no backend to choose: BACKEND is the constant
+"pure", kept only because the benchmark stamps its results with it.
 """
 
 from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
@@ -32,7 +34,6 @@ from .structure import (AlgebraDescriptor, DivisionRing, classify, irrep_dims,
 
 __version__ = "0.1.0"
 
-# the one kernel implementation; benchmark results are stamped with it
 BACKEND = "pure"
 
 __all__ = [

@@ -16,6 +16,10 @@ Isomorphism classes (kernel, image) are read off the keys as well: the key
 rows are a basis of H + col(R), so H is presented by the coordinates of
 the relation vectors in that basis.  Smith normal form is used only to
 turn a presentation into invariant factors (from_presentation, cokernel).
+
+Both normal forms are implemented here, on lists of Python ints
+(Cohen, A Course in Computational Algebraic Number Theory, 2.4):
+smith_normal_form with its unimodular transforms, and _hnf, the key.
 """
 
 from __future__ import annotations
@@ -24,29 +28,125 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-from . import _kernel_py as _kernel
 from .errors import (IllDefinedHomError, InvalidGroupError, SearchSpaceError,
                      check_size)
+
+
+def _row_sub(M: list, i: int, t: int, q: int) -> None:
+    if q:
+        Mi, Mt = M[i], M[t]
+        for j in range(len(Mi)):
+            Mi[j] -= q * Mt[j]
+
+
+def _col_sub(M: list, j: int, t: int, q: int) -> None:
+    if q:
+        for row in M:
+            row[j] -= q * row[t]
+
+
+def _col_swap(M: list, a: int, b: int) -> None:
+    for row in M:
+        row[a], row[b] = row[b], row[a]
+
+
+def _bal_div(x: int, d: int) -> int:
+    """Quotient leaving the minimal-magnitude remainder: |x - q*d| <= |d|/2."""
+    q, r = divmod(x, d)
+    if 2 * abs(r) > abs(d):
+        q += 1
+    return q
+
+
+def _diagonalize(D: list, U: list, V: list, m: int, n: int) -> None:
+    t = 0
+    while t < m and t < n:
+        while True:
+            # re-picking the smallest pivot every pass keeps quotients, and
+            # with them fill-in, from compounding across remainder chases
+            best = None
+            for i in range(t, m):
+                Di = D[i]
+                for j in range(t, n):
+                    v = Di[j]
+                    if v:
+                        a = -v if v < 0 else v
+                        if best is None or a < best[0]:
+                            best = (a, i, j)
+            if best is None:
+                return
+            _, bi, bj = best
+            if bi != t:
+                D[t], D[bi] = D[bi], D[t]
+                U[t], U[bi] = U[bi], U[t]
+            if bj != t:
+                _col_swap(D, t, bj)
+                _col_swap(V, t, bj)
+            p = D[t][t]
+            dirty = False
+            for i in range(m):
+                if i != t and D[i][t]:
+                    q = _bal_div(D[i][t], p)
+                    _row_sub(D, i, t, q)
+                    _row_sub(U, i, t, q)
+                    if D[i][t]:
+                        dirty = True
+            if dirty:
+                # a remainder at most half the pivot exists; chase it
+                continue
+            for j in range(n):
+                if j != t and D[t][j]:
+                    q = _bal_div(D[t][j], p)
+                    _col_sub(D, j, t, q)
+                    _col_sub(V, j, t, q)
+                    if D[t][j]:
+                        dirty = True
+            if not dirty and all(D[i][t] == 0 for i in range(m) if i != t):
+                break
+        t += 1
 
 
 def smith_normal_form(mat) -> tuple[list, list, list]:
     """(U, D, V) with U @ mat @ V == D, U and V unimodular.
 
-    D is diagonal with non-negative entries forming a divisibility chain,
-    zeros last.  ``mat`` is a list of equal-length rows; ragged rows raise
-    InvalidGroupError.  A shape whose
-    transforms U and V would exceed MAX_CELLS entries raises
-    BoundExceededError.
+    D is diagonal with non-negative entries forming a divisibility chain
+    d1 | d2 | ..., zeros last.  ``mat`` is a list of equal-length rows;
+    ragged rows raise InvalidGroupError.  A shape whose transforms U and V
+    would exceed MAX_CELLS entries raises BoundExceededError.
 
     >>> U, D, V = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]]
     [2, 4]
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if any(len(row) != n for row in mat):
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    if any(len(row) != ncols for row in mat):
         raise InvalidGroupError("ragged matrix")
-    return _kernel.snf(mat, m, n)
+    check_size("Smith normal form of a {} x {} matrix",
+               nrows * nrows + ncols * ncols, nrows, ncols)
+    D = [list(row) for row in mat]
+    U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    for _ in range(10000):
+        _diagonalize(D, U, V, nrows, ncols)
+        for t in range(min(nrows, ncols)):
+            if D[t][t] < 0:
+                for j in range(ncols):
+                    D[t][j] = -D[t][j]
+                for j in range(nrows):
+                    U[t][j] = -U[t][j]
+        fix = -1
+        for t in range(min(nrows, ncols) - 1):
+            a, b = D[t][t], D[t + 1][t + 1]
+            if a and b and b % a:
+                fix = t
+                break
+        if fix < 0:
+            return U, D, V
+        # merge the offending pair and rediagonalize
+        _col_sub(D, fix, fix + 1, -1)
+        _col_sub(V, fix, fix + 1, -1)
+    raise AssertionError("Smith normal form failed to converge")
 
 
 def _push_run(runs: list, value: int, count: int) -> None:
@@ -126,7 +226,7 @@ class FGAbelianGroup:
                 "relation matrix must be rectangular, with integer entries")
         if not ncols:
             return cls.free(n_gens)
-        _u, d, _v = _kernel.snf(rel, n_gens, ncols)
+        _u, d, _v = smith_normal_form(rel)
         diag = [d[i][i] for i in range(min(n_gens, ncols))]
         nonzero = [x for x in diag if x]
         return cls(n_gens - len(nonzero), tuple(x for x in nonzero if x > 1))
@@ -299,11 +399,105 @@ def cokernel(f: GroupHom) -> FGAbelianGroup:
     return FGAbelianGroup.from_presentation(f.target.n_gens, rel)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def _hnf(gens, moduli) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite normal form of the lattice spanned by ``gens`` and the
+    vectors moduli[j] * e_j, as a tuple of its nonzero rows.
+
+    ``moduli[j]`` is 0 for a free coordinate.  The form is canonical: rows
+    in echelon order, each pivot positive, and every entry above a pivot
+    reduced into [0, pivot).  So two generator lists span the same lattice
+    iff their forms are equal, which makes the form a key for a subgroup
+    of Z^r + Z/d_1 + ... (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.2).  Every torsion column ends up a pivot column.
+
+    Columns are cleared left to right by extended-gcd row pairs.  The row
+    d_j * e_j joins when column j is cleared: it has zeros to the left, and
+    added earlier it would be reduced mod d_j to nothing.  Entries in a
+    torsion column k not yet cleared are reduced mod d_k throughout, which
+    the lattice allows and which keeps them small.
+    """
+    n = len(moduli)
+    gens = list(gens)
+    check_size("Hermite normal form of {} generators in {} coordinates",
+               (len(gens) + n) * n, len(gens), n)
+    tors = [k for k in range(n) if moduli[k]]
+    rows = []
+    for v in gens:
+        r = list(v)
+        for k in tors:
+            r[k] %= moduli[k]
+        if any(r):
+            rows.append(r)
+    out = []
+    pivots = []
+    for j in range(n):
+        d = moduli[j]
+        if d:
+            r = [0] * n
+            r[j] = d
+            rows.append(r)
+        piv = None
+        rest = []
+        later = [k for k in tors if k > j]
+        for r in rows:
+            x = r[j]
+            if not x:
+                # untouched: still reduced, still nonzero
+                rest.append(r)
+            elif piv is None:
+                piv = r
+            else:
+                a = piv[j]
+                if x % a == 0:
+                    q = x // a
+                    r = [u - q * w for u, w in zip(r, piv)]
+                else:
+                    g, s, t = _xgcd(a, x)
+                    ag, xg = a // g, x // g
+                    piv, r = ([s * w + t * u for w, u in zip(piv, r)],
+                              [xg * w - ag * u for w, u in zip(piv, r)])
+                for k in later:
+                    r[k] %= moduli[k]
+                if any(r):
+                    rest.append(r)
+        rows = rest
+        if piv is not None:
+            if piv[j] < 0:
+                piv = [-w for w in piv]
+            for k in later:
+                piv[k] %= moduli[k]
+            out.append(piv)
+            pivots.append(j)
+    # reduce above each pivot, left to right: a pivot row is zero left of
+    # its pivot, so it leaves the entries reduced before it alone
+    for i, (c, row) in enumerate(zip(pivots, out)):
+        p = row[c]
+        for r in out[:i]:
+            q = r[c] // p
+            if q:
+                for k in range(c, n):
+                    r[k] -= q * row[k]
+    return tuple(tuple(r) for r in out)
+
+
 def image_key(f: GroupHom) -> tuple:
     """Canonical key of im f as a subgroup of f.target: the Hermite normal
     form of the image columns stacked with the relation vectors d_i * e_i,
     so equal subgroups, and only they, get equal keys."""
-    return _kernel.hnf(zip(*f.matrix), f.target.gen_orders)
+    return _hnf(zip(*f.matrix), f.target.gen_orders)
 
 
 def kernel_key(f: GroupHom) -> tuple:
@@ -322,7 +516,7 @@ def kernel_key(f: GroupHom) -> tuple:
                (2 * ns + nt) * (ns + nt), ns, ns + nt)
     rows = [[row[j] for row in f.matrix] + [int(i == j) for i in range(ns)]
             for j in range(ns)]
-    form = _kernel.hnf(rows, f.target.gen_orders + f.source.gen_orders)
+    form = _hnf(rows, f.target.gen_orders + f.source.gen_orders)
     return tuple(r[nt:] for r in form if not any(r[:nt]))
 
 

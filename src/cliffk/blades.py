@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernel_py as kernel
 from .errors import InvalidBladeError, InvalidSignatureError, check_size
 
 
@@ -49,6 +48,27 @@ class Signature:
         return f"C^{{{self.p},{self.q}}}"
 
 
+def blade_mul_mask(a: int, b: int, p: int) -> tuple[int, int]:
+    """Multiply basis blades given as bitmasks; bit i is generator i+1.
+
+    The first ``p`` generators square to -1, the rest to +1.  Returns
+    ``(sign, mask)`` with sign in {+1, -1} and ``mask == a ^ b``.  The sign
+    counts the transpositions needed to interleave the two sorted generator
+    words, plus one -1 per annihilated generator pair of negative square.
+    No checks: blade_mul is the checked entry point.
+    """
+    swaps = 0
+    bb = b
+    while bb:
+        low = bb & -bb
+        # generators of `a` strictly above this one must be moved past it
+        swaps += (a >> low.bit_length()).bit_count()
+        bb ^= low
+    neg = (a & b & ((1 << p) - 1)).bit_count()
+    sign = -1 if (swaps + neg) & 1 else 1
+    return sign, a ^ b
+
+
 def _check_mask(mask: int, sig: Signature) -> None:
     if not isinstance(mask, int) or mask < 0 or mask >= sig.dim:
         raise InvalidBladeError(f"blade mask {mask!r} does not fit {sig}")
@@ -64,7 +84,7 @@ def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """
     _check_mask(a, sig)
     _check_mask(b, sig)
-    return kernel.blade_mul_mask(a, b, sig.p)
+    return blade_mul_mask(a, b, sig.p)
 
 
 def blade_grade(mask: int) -> int:
@@ -87,6 +107,6 @@ def center_basis(sig: Signature) -> list[int]:
     """
     check_size("center_basis of {}", sig.n * sig.dim, sig)
     gens = [1 << i for i in range(sig.n)]
-    mul = kernel.blade_mul_mask
+    mul = blade_mul_mask
     return [b for b in range(sig.dim)
             if all(mul(b, g, sig.p)[0] == mul(g, b, sig.p)[0] for g in gens)]

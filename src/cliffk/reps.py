@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import matmul
 
-from . import _kernel_py as kernel
-from .blades import Signature
+from .blades import Signature, blade_mul_mask
 from .errors import BoundExceededError, InvalidSignatureError, check_size
 from .scalars import ScalarField
 from .structure import classify, min_faithful_dim
@@ -369,7 +368,7 @@ def verify_periodicity_iso(m: int) -> bool:
     """
     Signature(m, 0)  # rejects a negative m
     check_size("verify_periodicity_iso({})", (m + 2) << (m + 2), m)
-    mul = kernel.blade_mul_mask
+    mul = blade_mul_mask
 
     def times(x, y):
         sl, left = mul(x[1], y[1], m)
@@ -406,7 +405,7 @@ def _crossed_mul(t1, t2, n: int):
     sign = 1
     if a and (m2 & ((1 << n) - 1)).bit_count() & 1:
         sign = -sign
-    s, m = kernel.blade_mul_mask(m1, m2, 0)
+    s, m = blade_mul_mask(m1, m2, 0)
     return sign * s, (m, a ^ c)
 
 

@@ -7,7 +7,9 @@ Grammar (one directive per line, '#' starts a comment, CRLF tolerated):
     check exact at NAME[, NAME ...]
     solve bound = INT
 
-GROUPEXPR is "0", "Z", "Z^r", "Z/d", or sums of those with "+".  Maps are
+GROUPEXPR is "0", "Z", "Z^r", "Z/d", or sums of those with "+".  The
+integers r, d and INT are written in the ASCII digits 0-9; other Unicode
+decimal digits, which Python's int() would read, are refused.  Maps are
 declared in order and must connect consecutive terms.  A matrix literal has
 one row per target generator and one column per source generator; a matrix
 of all zeros is accepted in any shape, which is how maps into or out of the
@@ -39,9 +41,9 @@ _MAP_RE = re.compile(
     r"^map\s+([A-Za-z_]\w*)\s*:\s*([A-Za-z_]\w*)\s*->\s*([A-Za-z_]\w*)"
     r"\s*=\s*(.+)$")
 _CHECK_RE = re.compile(r"^check\s+exact\s+at\s+(.+)$")
-_SOLVE_RE = re.compile(r"^solve\s+bound\s*=\s*(\d+)$")
-_CYCLIC_RE = re.compile(r"^Z/(\d+)$")
-_POWER_RE = re.compile(r"^Z\^(\d+)$")
+_SOLVE_RE = re.compile(r"^solve\s+bound\s*=\s*([0-9]+)$")
+_CYCLIC_RE = re.compile(r"^Z/([0-9]+)$")
+_POWER_RE = re.compile(r"^Z\^([0-9]+)$")
 # one token of a matrix literal, after spaces and tabs: a bracket or comma,
 # an integer, or any other run of characters up to the next delimiter
 _MATRIX_TOKEN_RE = re.compile(

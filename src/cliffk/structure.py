@@ -102,7 +102,9 @@ def classify(sig: Signature, field: ScalarField = ScalarField.REAL) -> AlgebraDe
     n = sig.n
     digits = (sys.get_int_max_str_digits()
               or sys.int_info.default_max_str_digits)
-    if n > _max_printable_exponent(digits):
+    # 2**(3d) = 8**d < 10**d, so n <= 3d always prints: only a larger n
+    # pays for the exact test and its 10**digits
+    if n > 3 * digits and n > _max_printable_exponent(digits):
         raise BoundExceededError(
             f"{sig}: dimension 2**{n} has more than {digits} decimal digits")
     if field is ScalarField.REAL:

@@ -18,8 +18,8 @@ tests/solver_oracle.py and as the oracle of the key tests.
 kernel generators from the SNF of [G | R_target], then their HNF.
 """
 
-from cliffk import _kernel_py as _kernel
-from cliffk.abgroup import FGAbelianGroup, Sequence, _maps_around
+from cliffk.abgroup import (FGAbelianGroup, Sequence, _hnf, _maps_around,
+                            smith_normal_form)
 
 
 def _hstack(a, b):
@@ -44,7 +44,8 @@ def _from_columns(cols, nrows: int) -> list[list[int]]:
 
 def _kernel_lattice_basis(mat, nrows: int, ncols: int) -> list[list[int]]:
     """Columns forming a basis of the integer kernel of ``mat``."""
-    _u, d, v = _kernel.snf([list(r) for r in mat], nrows, ncols)
+    # a zero row keeps the ncols columns of a matrix with no rows
+    _u, d, v = smith_normal_form([list(r) for r in mat] or [[0] * ncols])
     rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i])
     return [[v[i][j] for i in range(ncols)] for j in range(rank, ncols)]
 
@@ -89,7 +90,7 @@ def image(f) -> FGAbelianGroup:
 
 def _lattice_member(mat, nrows: int, ncols: int, vec) -> bool:
     """Whether vec lies in the column lattice of mat, by exact solve."""
-    u, d, _v = _kernel.snf([list(r) for r in mat], nrows, ncols)
+    u, d, _v = smith_normal_form([list(r) for r in mat])
     w = [sum(u[i][k] * vec[k] for k in range(nrows)) for i in range(nrows)]
     for i in range(nrows):
         di = d[i][i] if i < ncols else 0
@@ -103,7 +104,7 @@ def _lattice_member(mat, nrows: int, ncols: int, vec) -> bool:
 
 def kernel_key(g) -> tuple:
     """Canonical key of ker g, by SNF kernel generators and their HNF."""
-    return _kernel.hnf(_kernel_gen_columns(g), g.source.gen_orders)
+    return _hnf(_kernel_gen_columns(g), g.source.gen_orders)
 
 
 def check_exact(seq: Sequence, at: int) -> bool:

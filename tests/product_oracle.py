@@ -13,8 +13,7 @@ check and its periodicity images from here.
 
 from __future__ import annotations
 
-from cliffk import _kernel_py as kernel
-from cliffk.blades import Signature
+from cliffk.blades import Signature, blade_mul_mask
 from cliffk.errors import check_size
 from cliffk.reps import MatrixRep, UnitPermMatrix
 
@@ -44,8 +43,8 @@ def tensor_mul(x: dict, y: dict, left: Signature, right: Signature) -> dict:
     out: dict = {}
     for (al, ar), ca in x.items():
         for (bl, br), cb in y.items():
-            sl, ml = kernel.blade_mul_mask(al, bl, left.p)
-            sr, mr = kernel.blade_mul_mask(ar, br, right.p)
+            sl, ml = blade_mul_mask(al, bl, left.p)
+            sr, mr = blade_mul_mask(ar, br, right.p)
             key = (ml, mr)
             c = out.get(key, 0) + sl * sr * ca * cb
             if c:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import cliffk
-from cliffk import _kernel_py, abgroup, blades, errors, reps, structure
+from cliffk import abgroup, blades, errors, reps, structure
 from cliffk.abgroup import (UNKNOWN_MAP, FGAbelianGroup, GroupHom, Sequence,
                             kernel_key, smith_normal_form, solve_exact)
 from cliffk.blades import Signature, center_basis
@@ -104,7 +104,7 @@ SITES = {
                       FGAbelianGroup(0, (1 << 7142,)),
                       lambda: reduced_k_rpn(14285, KTheory.KU)),
     # transforms of 1 + 1023**2 and 1 + 1024**2 entries
-    "smith_normal_form": (_kernel_py, "Smith normal form",
+    "smith_normal_form": (abgroup, "Smith normal form",
                           lambda: smith_normal_form([[1] * 1023]),
                           lambda: smith_normal_form([[1] * 1024])),
     # the kernel key's HNF of s rows in s + t coordinates, (2s + t)(s + t)
@@ -196,6 +196,23 @@ def test_classify_follows_raised_string_limit(monkeypatch):
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5000)
     desc = structure.classify.__wrapped__(Signature(15000, 0), R)
     assert desc.matrix_size == 1 << 7500
+
+
+def test_classify_skips_the_digit_test_for_small_n(monkeypatch):
+    # 2**n has at most d digits when n <= 3d (8**d < 10**d), so classify
+    # builds no 10**d there; above 3d the exact test still decides
+    expect = structure.classify.__wrapped__(Signature(12, 0))
+
+    def refuse(digits):
+        raise AssertionError(f"exact digit test run for {digits} digits")
+
+    monkeypatch.setattr(structure, "_max_printable_exponent", refuse)
+    assert structure.classify.__wrapped__(Signature(12, 0)) == expect
+    digits = (sys.get_int_max_str_digits()
+              or sys.int_info.default_max_str_digits)
+    structure.classify.__wrapped__(Signature(3 * digits, 0))
+    with pytest.raises(AssertionError, match="exact digit test"):
+        structure.classify.__wrapped__(Signature(3 * digits + 1, 0))
 
 
 CHILD = """

@@ -1,7 +1,11 @@
-"""Contracts for the low-level compute kernels in cliffk._kernel_py.
+"""Contracts for the integer algorithms under the library's results.
 
-Hermite normal form is checked against the SNF membership test of the
-exactness oracle.
+The blade product blade_mul_mask lives in cliffk.blades; the Smith normal
+form and the Hermite normal form _hnf that keys subgroups live in
+cliffk.abgroup, the one module that uses them.  There is no backend
+module to test: cliffk.BACKEND is the constant "pure", kept only for the
+benchmark's stamp.  Hermite normal form is checked against the SNF
+membership test of the exactness oracle.
 
 The union-find rank of the intertwiner oracle, the sparse rank of the rank
 oracle and the null space of the center oracle are tested here too.
@@ -12,7 +16,8 @@ import random
 import pytest
 
 from center_oracle import sparse_nullspace
-from cliffk import _kernel_py as kern
+from cliffk.abgroup import _hnf, smith_normal_form
+from cliffk.blades import blade_mul_mask
 from cliffk.errors import BoundExceededError
 from exactness_oracle import _lattice_member
 from intertwiner_oracle import unit_pair_rank
@@ -70,18 +75,18 @@ def _det(mat):
 class TestKernel:
     def test_blade_mul_mask_examples(self):
         # e1 * e1 in each metric
-        assert kern.blade_mul_mask(1, 1, 1) == (-1, 0)
-        assert kern.blade_mul_mask(1, 1, 0) == (1, 0)
+        assert blade_mul_mask(1, 1, 1) == (-1, 0)
+        assert blade_mul_mask(1, 1, 0) == (1, 0)
         # e1 * e2 keeps order, e2 * e1 flips sign
-        assert kern.blade_mul_mask(0b01, 0b10, 0) == (1, 0b11)
-        assert kern.blade_mul_mask(0b10, 0b01, 0) == (-1, 0b11)
+        assert blade_mul_mask(0b01, 0b10, 0) == (1, 0b11)
+        assert blade_mul_mask(0b10, 0b01, 0) == (-1, 0b11)
         # (e1e2)^2 = -1 regardless of the metric split at p = 0
-        assert kern.blade_mul_mask(0b11, 0b11, 0) == (-1, 0)
+        assert blade_mul_mask(0b11, 0b11, 0) == (-1, 0)
 
     def test_blade_mul_identity(self):
         for mask in range(16):
-            assert kern.blade_mul_mask(0, mask, 2) == (1, mask)
-            assert kern.blade_mul_mask(mask, 0, 2) == (1, mask)
+            assert blade_mul_mask(0, mask, 2) == (1, mask)
+            assert blade_mul_mask(mask, 0, 2) == (1, mask)
 
     def test_sparse_rank_matches_dense(self):
         rng = random.Random(7)
@@ -118,7 +123,7 @@ class TestKernel:
             m = rng.randint(1, 5)
             n = rng.randint(1, 5)
             mat = [[rng.randint(-10, 10) for _ in range(n)] for _ in range(m)]
-            U, D, V = kern.snf(mat, m, n)
+            U, D, V = smith_normal_form(mat)
             assert _matmul(_matmul(U, mat), V) == D
             assert abs(_det(U)) == 1
             assert abs(_det(V)) == 1
@@ -133,9 +138,9 @@ class TestKernel:
                     assert a and b % a == 0
 
     def test_snf_empty_shapes(self):
-        U, D, V = kern.snf([], 0, 0)
+        U, D, V = smith_normal_form([])
         assert (U, D, V) == ([], [], [])
-        U, D, V = kern.snf([[]], 1, 0)
+        U, D, V = smith_normal_form([[]])
         assert U == [[1]] and D == [[]] and V == []
 
 
@@ -151,22 +156,22 @@ def _spans(gens, moduli, vecs) -> bool:
 
 class TestHermiteNormalForm:
     def test_examples(self):
-        assert kern.hnf([[2, 4], [6, 8]], (0, 0)) == ((2, 0), (0, 4))
-        assert kern.hnf([[1, 1]], (2, 4)) == ((1, 1), (0, 2))
-        assert kern.hnf([[0, 3]], (2, 4)) == ((2, 0), (0, 1))
+        assert _hnf([[2, 4], [6, 8]], (0, 0)) == ((2, 0), (0, 4))
+        assert _hnf([[1, 1]], (2, 4)) == ((1, 1), (0, 2))
+        assert _hnf([[0, 3]], (2, 4)) == ((2, 0), (0, 1))
         # the zero subgroup of a torsion group keeps its relation rows
-        assert kern.hnf([], (4,)) == ((4,),)
-        assert kern.hnf([[4]], (4,)) == ((4,),)
-        assert kern.hnf([[-6]], (4,)) == ((2,),)
-        assert kern.hnf([[3]], (4,)) == ((1,),)
+        assert _hnf([], (4,)) == ((4,),)
+        assert _hnf([[4]], (4,)) == ((4,),)
+        assert _hnf([[-6]], (4,)) == ((2,),)
+        assert _hnf([[3]], (4,)) == ((1,),)
         # a free column need not hold a pivot
-        assert kern.hnf([[0, -3], [0, 2]], (0, 0)) == ((0, 1),)
-        assert kern.hnf([[2, -3]], (0, 0)) == ((2, -3),)
+        assert _hnf([[0, -3], [0, 2]], (0, 0)) == ((0, 1),)
+        assert _hnf([[2, -3]], (0, 0)) == ((2, -3),)
 
     def test_empty_shapes(self):
-        assert kern.hnf([], ()) == ()
-        assert kern.hnf([[]], ()) == ()
-        assert kern.hnf([[0, 0], [0, 0]], (0, 0)) == ()
+        assert _hnf([], ()) == ()
+        assert _hnf([[]], ()) == ()
+        assert _hnf([[0, 0], [0, 0]], (0, 0)) == ()
 
     def test_contract(self):
         rng = random.Random(17)
@@ -175,7 +180,7 @@ class TestHermiteNormalForm:
             moduli = [rng.choice((0, 0, 2, 3, 4, 6)) for _ in range(n)]
             gens = [[rng.randint(-9, 9) for _ in range(n)]
                     for _ in range(rng.randint(0, 4))]
-            form = kern.hnf(gens, moduli)
+            form = _hnf(gens, moduli)
             pivots = []
             for row in form:
                 c = next(j for j, v in enumerate(row) if v)
@@ -195,16 +200,16 @@ class TestHermiteNormalForm:
     def test_large_entries(self):
         big = 10 ** 40
         # determinant -1: the whole of Z^2
-        assert kern.hnf([[big + 1, big], [big, big - 1]], (0, 0)) == (
+        assert _hnf([[big + 1, big], [big, big - 1]], (0, 0)) == (
             (1, 0), (0, 1))
-        assert kern.hnf([[big + 1, 0], [big, 1]], (0, 0)) == (
+        assert _hnf([[big + 1, 0], [big, 1]], (0, 0)) == (
             (1, big), (0, big + 1))
-        assert kern.hnf([[big]], (6,)) == ((2,),)
+        assert _hnf([[big]], (6,)) == ((2,),)
 
     def test_bound(self):
         # 1025 generators in 1024 free coordinates: 2049 * 1024 > MAX_CELLS
         with pytest.raises(BoundExceededError):
-            kern.hnf([[0] * 1024] * 1025, (0,) * 1024)
+            _hnf([[0] * 1024] * 1025, (0,) * 1024)
 
 
 class TestUnitPairRankOracle:

@@ -18,6 +18,7 @@ from cliffk.abgroup import (
     exactness_at,
     solve_exact,
 )
+from cliffk.cli import main
 from cliffk.errors import SequenceParseError
 from cliffk.seqfile import SequenceFile, parse_sequence_file
 
@@ -144,6 +145,24 @@ class TestParseErrors:
             parse_sequence_file(text)
         assert exc.value.line == line
         assert fragment in exc.value.message
+
+    # int() reads any Unicode decimal digit; the grammar admits only 0-9
+    @pytest.mark.parametrize("last,line,fragment", [
+        ("term B = Z/\u0663", 2, "cannot parse group part"),
+        ("term B = Z^\u0662", 2, "cannot parse group part"),
+        ("term B = Z\nsolve bound = \u0661", 3, "cannot parse line"),
+    ], ids=["cyclic", "power", "solve"])
+    def test_non_ascii_digits_refused(self, last, line, fragment, tmp_path,
+                                      capsys):
+        text = f"term A = Z\n{last}\nmap f : A -> B = unknown\n"
+        with pytest.raises(SequenceParseError) as exc:
+            parse_sequence_file(text)
+        assert exc.value.line == line
+        assert fragment in exc.value.message
+        path = tmp_path / "digits.seq"
+        path.write_text(text, encoding="utf-8")
+        assert main(["seq", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line}:")
 
 
 @st.composite
