@@ -15,11 +15,12 @@ cliffk.abgroup.  So there is no backend to choose: BACKEND is the constant
 from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
                       UnknownGroup, UnknownMap, cokernel, exactness_at,
                       image, kernel, smith_normal_form, solve_exact)
-from .blades import Signature, blade_grade, blade_mul, center_basis
+from .blades import Signature, blade_mul, center_basis
 from .errors import (MAX_CELLS, BoundExceededError, CliffkError,
                      EmbeddingError, IllDefinedHomError, InvalidBladeError,
-                     InvalidGroupError, InvalidSignatureError,
-                     SearchSpaceError, SequenceParseError)
+                     InvalidGroupError, InvalidSequenceError,
+                     InvalidSignatureError, SearchSpaceError,
+                     SequenceParseError)
 from .ktheory import (FiberTwistReport, KTheory, RelativeK, ThomStabilityReport,
                       bott_sequence_instance, fiber_twist_check,
                       forgetful_k_map, k0, point_k, reduced_k_rpn, relative_k,
@@ -27,10 +28,10 @@ from .ktheory import (FiberTwistReport, KTheory, RelativeK, ThomStabilityReport,
 from .reps import (MatrixRep, UnitPermMatrix, build_rep, check_relations,
                    untwist_split_check, verify_classification,
                    verify_periodicity_iso)
-from .scalars import ScalarField
 from .seqfile import SequenceFile, parse_sequence_file
-from .structure import (AlgebraDescriptor, DivisionRing, classify, irrep_dims,
-                        min_faithful_dim, restriction_multiplicities)
+from .structure import (AlgebraDescriptor, DivisionRing, ScalarField, classify,
+                        irrep_dims, min_faithful_dim,
+                        restriction_multiplicities)
 
 __version__ = "0.1.0"
 
@@ -40,11 +41,11 @@ __all__ = [
     "AlgebraDescriptor", "BACKEND", "BoundExceededError", "CliffkError",
     "DivisionRing", "EmbeddingError", "FGAbelianGroup", "FiberTwistReport",
     "GroupHom", "IllDefinedHomError", "InvalidBladeError",
-    "InvalidGroupError", "InvalidSignatureError", "KTheory", "MAX_CELLS",
-    "MatrixRep", "RelativeK", "ScalarField", "Sequence", "SequenceFile",
-    "SequenceParseError", "SearchSpaceError", "Signature",
-    "ThomStabilityReport", "UNKNOWN_MAP", "UnitPermMatrix", "UnknownGroup",
-    "UnknownMap", "blade_grade", "blade_mul", "bott_sequence_instance",
+    "InvalidGroupError", "InvalidSequenceError", "InvalidSignatureError",
+    "KTheory", "MAX_CELLS", "MatrixRep", "RelativeK", "ScalarField",
+    "Sequence", "SequenceFile", "SequenceParseError", "SearchSpaceError",
+    "Signature", "ThomStabilityReport", "UNKNOWN_MAP", "UnitPermMatrix",
+    "UnknownGroup", "UnknownMap", "blade_mul", "bott_sequence_instance",
     "build_rep", "center_basis", "check_relations", "classify", "cokernel",
     "exactness_at", "fiber_twist_check", "forgetful_k_map", "image",
     "irrep_dims", "k0", "kernel", "min_faithful_dim", "parse_sequence_file",

@@ -28,8 +28,8 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import (IllDefinedHomError, InvalidGroupError, SearchSpaceError,
-                     check_size)
+from .errors import (IllDefinedHomError, InvalidGroupError,
+                     InvalidSequenceError, SearchSpaceError, check_size)
 
 
 def _row_sub(M: list, i: int, t: int, q: int) -> None:
@@ -274,22 +274,6 @@ class FGAbelianGroup:
             return None
         return prod(self.torsion) if self.torsion else 1
 
-    def reduce(self, coords) -> tuple[int, ...]:
-        """Canonical coordinates: torsion entries mod their order."""
-        coords = list(coords)
-        if len(coords) != self.n_gens:
-            raise ValueError("coordinate length mismatch")
-        for i, d in enumerate(self.gen_orders):
-            if d:
-                coords[i] %= d
-        return tuple(coords)
-
-    def elements(self):
-        """All elements of a finite group, as canonical coordinate tuples."""
-        if self.rank:
-            raise ValueError("infinite group")
-        return itertools.product(*(range(d) for d in self.torsion))
-
     def relation_matrix(self) -> list[list[int]]:
         """n_gens x len(torsion) diagonal-style relation columns."""
         rel = [[0] * len(self.torsion) for _ in range(self.n_gens)]
@@ -347,30 +331,11 @@ class GroupHom:
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in mat))
 
     @classmethod
-    def identity(cls, group: FGAbelianGroup) -> "GroupHom":
-        n = group.n_gens
-        return cls(group, group,
-                   tuple(tuple(1 if i == j else 0 for j in range(n))
-                         for i in range(n)))
-
-    @classmethod
     def zero(cls, source: FGAbelianGroup, target: FGAbelianGroup) -> "GroupHom":
         check_size("zero map {} -> {}", source.n_gens * target.n_gens,
                    source, target)
         return cls(source, target,
                    tuple((0,) * source.n_gens for _ in range(target.n_gens)))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(all(v == 0 for v in row) for row in self.matrix)
-
-    def apply(self, coords) -> tuple[int, ...]:
-        coords = list(coords)
-        if len(coords) != self.source.n_gens:
-            raise ValueError("coordinate length mismatch")
-        out = [sum(row[j] * coords[j] for j in range(len(coords)))
-               for row in self.matrix]
-        return self.target.reduce(out)
 
     def __matmul__(self, other: "GroupHom") -> "GroupHom":
         """Composition self o other."""
@@ -577,7 +542,8 @@ class UnknownGroup:
 
     def __post_init__(self):
         if not self.candidates:
-            raise ValueError("unknown group needs at least one candidate")
+            raise InvalidSequenceError(
+                "unknown group needs at least one candidate")
 
 
 @dataclass(frozen=True)
@@ -603,35 +569,32 @@ class Sequence:
 
     def __post_init__(self):
         if len(self.terms) < 2:
-            raise ValueError("a sequence needs at least two terms")
+            raise InvalidSequenceError("a sequence needs at least two terms")
         if len(self.maps) != len(self.terms) - 1:
-            raise ValueError("need exactly one map between consecutive terms")
+            raise InvalidSequenceError(
+                "need exactly one map between consecutive terms")
         if self.names is not None and len(self.names) != len(self.terms):
-            raise ValueError("one name per term")
+            raise InvalidSequenceError("one name per term")
         for pos in self.exact_at:
             if not 1 <= pos <= len(self.terms) - 2:
-                raise ValueError(f"exactness position {pos} is not interior")
+                raise InvalidSequenceError(
+                    f"exactness position {pos} is not interior")
         for i, m in enumerate(self.maps):
             if isinstance(m, GroupHom):
                 for side, term in ((m.source, self.terms[i]),
                                    (m.target, self.terms[i + 1])):
                     if isinstance(term, FGAbelianGroup) and side != term:
-                        raise ValueError(
+                        raise InvalidSequenceError(
                             f"map {i} endpoints disagree with the terms")
-
-    @property
-    def is_fully_specified(self) -> bool:
-        return all(isinstance(t, FGAbelianGroup) for t in self.terms) and all(
-            isinstance(m, GroupHom) for m in self.maps)
 
 
 def _maps_around(seq: Sequence, at: int) -> tuple[GroupHom, GroupHom]:
     """The concrete maps into and out of interior term ``at``."""
     if not 1 <= at <= len(seq.terms) - 2:
-        raise ValueError(f"exactness position {at} is not interior")
+        raise InvalidSequenceError(f"exactness position {at} is not interior")
     f, g = seq.maps[at - 1], seq.maps[at]
     if not isinstance(f, GroupHom) or not isinstance(g, GroupHom):
-        raise ValueError("exactness check needs concrete maps")
+        raise InvalidSequenceError("exactness check needs concrete maps")
     return f, g
 
 
@@ -815,7 +778,8 @@ def solve_exact(seq: Sequence, bound: int,
     SearchSpaceError raised if they exceed ``max_assignments``; the count
     stops at the first partial sum past the ceiling.  An unknown map whose
     matrix has more than MAX_CELLS entries raises BoundExceededError before
-    any candidate is counted.  A negative ``bound`` raises ValueError.
+    any candidate is counted.  A negative ``bound`` raises
+    InvalidSequenceError.
 
     For each choice of unknown terms, every map's candidate homomorphisms
     are built once, and a choice that a fixed map's endpoints reject is
@@ -834,7 +798,7 @@ def solve_exact(seq: Sequence, bound: int,
     [((-1,),), ((1,),)]
     """
     if bound < 0:
-        raise ValueError(f"solve bound {bound} is negative")
+        raise InvalidSequenceError(f"solve bound {bound} is negative")
     total = _search_space(seq, bound, max_assignments)
     if total > max_assignments:
         raise SearchSpaceError(
@@ -847,7 +811,7 @@ def solve_exact(seq: Sequence, bound: int,
     for terms in _term_choices(seq):
         try:
             Sequence(terms, seq.maps, seq.names, seq.exact_at)
-        except ValueError:
+        except InvalidSequenceError:
             # a fixed map's endpoints reject this combination of terms
             continue
         # candidates are well-defined by construction (_entry_ranges)

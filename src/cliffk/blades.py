@@ -23,6 +23,12 @@ class Signature:
     q: int
 
     def __post_init__(self):
+        # bool is an int subclass, and a float part would reach the
+        # classification table as a key that is not there
+        if type(self.p) is not int or type(self.q) is not int:
+            raise InvalidSignatureError(
+                f"signature parts must be integers, got ({self.p!r}, "
+                f"{self.q!r})")
         if self.p < 0 or self.q < 0:
             raise InvalidSignatureError(f"negative signature ({self.p}, {self.q})")
 
@@ -33,12 +39,6 @@ class Signature:
     @property
     def dim(self) -> int:
         return 1 << self.n
-
-    def square_sign(self, i: int) -> int:
-        """Square of generator ei, 1-based."""
-        if not 1 <= i <= self.n:
-            raise InvalidBladeError(f"generator index {i} outside 1..{self.n}")
-        return -1 if i <= self.p else 1
 
     def contains(self, other: "Signature") -> bool:
         """Whether the other algebra embeds by an initial generator segment."""
@@ -85,10 +85,6 @@ def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     _check_mask(a, sig)
     _check_mask(b, sig)
     return blade_mul_mask(a, b, sig.p)
-
-
-def blade_grade(mask: int) -> int:
-    return mask.bit_count()
 
 
 def center_basis(sig: Signature) -> list[int]:

@@ -30,9 +30,8 @@ from .errors import CliffkError
 from .ktheory import (KTheory, fiber_twist_check, point_k, reduced_k_rpn,
                       thom_stability)
 from .reps import untwist_split_check, verify_periodicity_iso
-from .scalars import ScalarField
 from .seqfile import parse_sequence_file
-from .structure import classify
+from .structure import ScalarField, classify
 
 _FIELDS = {"r": ScalarField.REAL, "c": ScalarField.COMPLEX}
 _THEORIES = {"ko": KTheory.KO, "ku": KTheory.KU}

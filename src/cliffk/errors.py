@@ -6,7 +6,8 @@ class CliffkError(Exception):
 
 
 class InvalidSignatureError(CliffkError, ValueError):
-    """A (p, q) signature with negative parts, or one outside a stated bound."""
+    """A (p, q) signature with a part that is not an int (bool included) or
+    is negative, or one outside a stated bound."""
 
 
 class InvalidBladeError(CliffkError, ValueError):
@@ -43,6 +44,13 @@ class InvalidGroupError(CliffkError, ValueError):
 class IllDefinedHomError(CliffkError, ValueError):
     """A homomorphism matrix of the wrong shape, with an entry that is not
     an integer, or that does not respect the source relations."""
+
+
+class InvalidSequenceError(CliffkError, ValueError):
+    """A sequence whose terms, maps, names and exactness positions do not
+    fit together, an unknown group with no candidates, an exactness check
+    that lacks two concrete maps around an interior term, or a negative
+    solve bound."""
 
 
 class SearchSpaceError(CliffkError, ValueError):

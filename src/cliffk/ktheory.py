@@ -26,8 +26,7 @@ from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
                       cokernel, kernel)
 from .blades import Signature
 from .errors import InvalidSignatureError
-from .scalars import ScalarField
-from .structure import classify, restriction_multiplicities
+from .structure import ScalarField, classify, restriction_multiplicities
 
 
 class KTheory(Enum):
@@ -39,10 +38,6 @@ class KTheory(Enum):
     @property
     def field(self) -> ScalarField:
         return ScalarField.REAL if self is KTheory.KO else ScalarField.COMPLEX
-
-    @property
-    def period(self) -> int:
-        return 8 if self is KTheory.KO else 2
 
 
 def k0(sig: Signature, field: ScalarField = ScalarField.REAL) -> FGAbelianGroup:
@@ -110,7 +105,16 @@ def _ladder(i: int) -> tuple[Signature, Signature]:
     return Signature(i, 0), Signature(i - 1, 0)
 
 
-@lru_cache(maxsize=None)
+def _check_degree(i) -> None:
+    """Refuse a degree index that is not a non-negative int (bool too)."""
+    if type(i) is not int:
+        raise InvalidSignatureError(f"degree index {i!r} is not an integer")
+    if i < 0:
+        raise InvalidSignatureError("degree index must be non-negative")
+
+
+# typed: 2.0 == 2 as a cache key, and must still be refused after point_k(2)
+@lru_cache(maxsize=None, typed=True)
 def point_k(i: int, theory: KTheory = KTheory.KO) -> FGAbelianGroup:
     """Degree -i K group of a point: Z at i = 0 by definition, and for
     i >= 1 the cokernel of the K0 restriction along _ladder(i).
@@ -122,8 +126,7 @@ def point_k(i: int, theory: KTheory = KTheory.KO) -> FGAbelianGroup:
     >>> str(point_k(1, KTheory.KU))
     '0'
     """
-    if i < 0:
-        raise InvalidSignatureError("degree index must be non-negative")
+    _check_degree(i)
     if i == 0:
         return FGAbelianGroup.free(1)
     return cokernel(forgetful_k_map(*_ladder(i), theory.field))
@@ -197,8 +200,7 @@ def bott_sequence_instance(i: int) -> Sequence:
     every term read off the one degree ladder by point_k, maps left unknown
     for the exact solver, exactness marked at the two interior positions.
     """
-    if i < 0:
-        raise InvalidSignatureError("degree index must be non-negative")
+    _check_degree(i)
     terms = (point_k(i, KTheory.KU), point_k(i, KTheory.KO),
              point_k(i + 1, KTheory.KO), point_k(i + 1, KTheory.KU))
     names = (f"KU^-{i}", f"KO^-{i}", f"KO^-{i + 1}", f"KU^-{i + 1}")

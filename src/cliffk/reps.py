@@ -32,8 +32,7 @@ from operator import matmul
 
 from .blades import Signature, blade_mul_mask
 from .errors import BoundExceededError, InvalidSignatureError, check_size
-from .scalars import ScalarField
-from .structure import classify, min_faithful_dim
+from .structure import ScalarField, classify, min_faithful_dim
 
 _REAL = ScalarField.REAL
 
@@ -79,10 +78,6 @@ class UnitPermMatrix:
         """Multiply the whole matrix by i**code."""
         return UnitPermMatrix(self.rows, tuple(c + code for c in self.codes))
 
-    @property
-    def is_real(self) -> bool:
-        return all(c % 2 == 0 for c in self.codes)
-
     def trace_quadruple(self) -> tuple[int, int, int, int]:
         """Count of diagonal entries equal to 1, i, -1, -i respectively."""
         counts = [0, 0, 0, 0]
@@ -90,19 +85,6 @@ class UnitPermMatrix:
             if a == j:
                 counts[self.codes[j]] += 1
         return tuple(counts)
-
-    def dense(self) -> list[list]:
-        """Entries as ints (real) or (re, im) int pairs (complex)."""
-        if self.is_real:
-            out = [[0] * self.n for _ in range(self.n)]
-            for j, a in enumerate(self.rows):
-                out[a][j] = 1 if self.codes[j] == 0 else -1
-            return out
-        out = [[(0, 0)] * self.n for _ in range(self.n)]
-        unit = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
-        for j, a in enumerate(self.rows):
-            out[a][j] = unit[self.codes[j]]
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, UnitPermMatrix):
@@ -249,16 +231,6 @@ class MatrixRep:
     field: ScalarField
     dim: int
     gens: tuple[UnitPermMatrix, ...]
-
-    def blade_matrices(self) -> list[UnitPermMatrix]:
-        """All 2**n blade images, indexed by mask, via shared prefixes."""
-        check_size("blade_matrices of {}", self.sig.dim * self.dim, self.sig)
-        mats = [UnitPermMatrix.identity(self.dim)] * self.sig.dim
-        for mask in range(1, self.sig.dim):
-            low = mask & -mask
-            gen = self.gens[low.bit_length() - 1]
-            mats[mask] = gen @ mats[mask ^ low]
-        return mats
 
 
 def build_rep(sig: Signature, field: ScalarField = _REAL) -> MatrixRep:

@@ -158,30 +158,6 @@ class SequenceFile:
         return Sequence(self.terms, self.maps, names=self.term_names,
                         exact_at=exact_at)
 
-    def render(self) -> str:
-        """Canonical text; parse(render()) reproduces this object."""
-        lines = []
-        for name, term in zip(self.term_names, self.terms):
-            if isinstance(term, UnknownGroup):
-                inner = ", ".join(str(g) for g in term.candidates)
-                lines.append(f"term {name} = unknown{{{inner}}}")
-            else:
-                lines.append(f"term {name} = {term}")
-        for i, (name, m) in enumerate(zip(self.map_names, self.maps)):
-            src, dst = self.term_names[i], self.term_names[i + 1]
-            if isinstance(m, UnknownMap):
-                rhs = "unknown"
-            elif not m.matrix or not m.matrix[0]:
-                rhs = "[[0]]"
-            else:
-                rhs = repr([list(r) for r in m.matrix])
-            lines.append(f"map {name} : {src} -> {dst} = {rhs}")
-        if self.check_at:
-            lines.append("check exact at " + ", ".join(self.check_at))
-        if self.solve_bound is not None:
-            lines.append(f"solve bound = {self.solve_bound}")
-        return "\n".join(lines) + "\n"
-
 
 def parse_sequence_file(text: str) -> SequenceFile:
     """Parse the textual format; SequenceParseError carries the line number.

@@ -19,7 +19,19 @@ from math import isqrt
 
 from .blades import Signature
 from .errors import BoundExceededError, EmbeddingError, InvalidSignatureError
-from .scalars import ScalarField
+
+
+class ScalarField(enum.Enum):
+    """Ground field marker for algebras and representations.
+
+    Only the choice is recorded.  Nothing in the package computes with
+    field elements: classification reads tables, and representations hold
+    integer row indices and powers of i (cliffk.reps), so every result
+    stays exact.
+    """
+
+    REAL = "real"
+    COMPLEX = "complex"
 
 
 class DivisionRing(enum.Enum):

@@ -14,8 +14,7 @@ from __future__ import annotations
 from cliffk.blades import Signature
 from cliffk.errors import EmbeddingError
 from cliffk.reps import MatrixRep, UnitPermMatrix, build_rep
-from cliffk.scalars import ScalarField
-from cliffk.structure import classify, min_faithful_dim
+from cliffk.structure import ScalarField, classify, min_faithful_dim
 
 _REAL = ScalarField.REAL
 _COMPLEX = ScalarField.COMPLEX

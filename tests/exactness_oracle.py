@@ -16,10 +16,51 @@ tests/solver_oracle.py and as the oracle of the key tests.
 ``kernel_key`` is the SNF route to the kernel key, the body
 ``cliffk.abgroup.kernel_key`` had before it read the key off one HNF:
 kernel generators from the SNF of [G | R_target], then their HNF.
+
+The element-level helpers (identity, is_zero, apply, reduce, elements) let
+the tests check kernels, images and exactness on finite groups by listing
+every element.  The library computes only on lattices and needs none of
+them.
 """
 
-from cliffk.abgroup import (FGAbelianGroup, Sequence, _hnf, _maps_around,
-                            smith_normal_form)
+import itertools
+
+from cliffk.abgroup import (FGAbelianGroup, GroupHom, Sequence, _hnf,
+                            _maps_around, smith_normal_form)
+
+
+def identity(group: FGAbelianGroup) -> GroupHom:
+    n = group.n_gens
+    return GroupHom(group, group, tuple(tuple(int(i == j) for j in range(n))
+                                        for i in range(n)))
+
+
+def is_zero(f: GroupHom) -> bool:
+    return not any(any(row) for row in f.matrix)
+
+
+def reduce(group: FGAbelianGroup, coords) -> tuple[int, ...]:
+    """Canonical coordinates: torsion entries mod their order."""
+    coords = list(coords)
+    if len(coords) != group.n_gens:
+        raise ValueError("coordinate length mismatch")
+    return tuple(x % d if d else x for x, d in zip(coords, group.gen_orders))
+
+
+def apply(f: GroupHom, coords) -> tuple[int, ...]:
+    """f of an element of its source, in canonical target coordinates."""
+    coords = list(coords)
+    if len(coords) != f.source.n_gens:
+        raise ValueError("coordinate length mismatch")
+    return reduce(f.target, [sum(a * x for a, x in zip(row, coords))
+                             for row in f.matrix])
+
+
+def elements(group: FGAbelianGroup):
+    """All elements of a finite group, as canonical coordinate tuples."""
+    if group.rank:
+        raise ValueError("infinite group")
+    return itertools.product(*(range(d) for d in group.torsion))
 
 
 def _hstack(a, b):
@@ -115,7 +156,7 @@ def check_exact(seq: Sequence, at: int) -> bool:
     (image columns plus middle relations).
     """
     f, g = _maps_around(seq, at)
-    if not (g @ f).is_zero:
+    if not is_zero(g @ f):
         return False
     middle = f.target
     n = middle.n_gens

@@ -15,8 +15,7 @@ from character_oracle import (_central_involution, _embedding_indices,
                               _factor_labels)
 from cliffk.blades import Signature
 from cliffk.reps import MatrixRep, UnitPermMatrix, build_rep
-from cliffk.scalars import ScalarField
-from cliffk.structure import classify
+from cliffk.structure import ScalarField, classify
 
 _REAL = ScalarField.REAL
 _COMPLEX = ScalarField.COMPLEX

@@ -23,6 +23,8 @@ import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from cliffk.cli import main as cli_main
+
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "golden" / "cli.jsonl"
 
@@ -50,15 +52,13 @@ ARGVS = (
 def transcript(argv: list[str]) -> dict:
     """One in-process CLI run from the repository root: argv, exit code,
     stdout and stderr.  Help and usage errors leave main by SystemExit."""
-    from cliffk.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             try:
-                code = main(argv)
+                code = cli_main(argv)
             except SystemExit as exc:
                 code = exc.code
     finally:

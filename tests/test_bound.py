@@ -10,6 +10,7 @@ import time
 import pytest
 
 import cliffk
+import rank_oracle
 from cliffk import abgroup, blades, errors, reps, structure
 from cliffk.abgroup import (UNKNOWN_MAP, FGAbelianGroup, GroupHom, Sequence,
                             kernel_key, smith_normal_form, solve_exact)
@@ -18,7 +19,7 @@ from cliffk.errors import MAX_CELLS, BoundExceededError
 from cliffk.ktheory import KTheory, point_k, reduced_k_rpn, thom_stability
 from cliffk.reps import (build_rep, untwist_split_check,
                          verify_classification, verify_periodicity_iso)
-from cliffk.scalars import ScalarField
+from cliffk.structure import ScalarField
 
 R = ScalarField.REAL
 C = ScalarField.COMPLEX
@@ -71,16 +72,19 @@ class _Reached(Exception):
 
 
 # (module whose check_size the site calls, label prefix, admitted, refused):
-# the admitted call is the largest that fits, the refused one the next size
+# the admitted call is the largest that fits, the refused one the next size.
+# blade_matrices is the rank oracle's; verify_classification keeps its label
 SITES = {
     "build_rep real": (reps, "build_rep", lambda: build_rep(Signature(30, 0)),
                        lambda: build_rep(Signature(31, 0))),
     "build_rep complex": (reps, "build_rep",
                           lambda: build_rep(Signature(0, 30), C),
                           lambda: build_rep(Signature(0, 31), C)),
-    "blade_matrices": (reps, "blade_matrices",
-                       lambda: build_rep(Signature(0, 12)).blade_matrices(),
-                       lambda: build_rep(Signature(0, 13)).blade_matrices()),
+    "blade_matrices": (rank_oracle, "blade_matrices",
+                       lambda: rank_oracle.blade_matrices(
+                           build_rep(Signature(0, 12))),
+                       lambda: rank_oracle.blade_matrices(
+                           build_rep(Signature(0, 13)))),
     "verify_classification": (
         reps, "blade_matrices",
         lambda: verify_classification(Signature(12, 0)),

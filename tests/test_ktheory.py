@@ -30,18 +30,20 @@ Z = FGAbelianGroup.free(1)
 TRIV = FGAbelianGroup.trivial()
 
 
+# Bott periodicity of each theory
+PERIOD = {KO: 8, KU: 2}
+
+
 def cyclic(d: int) -> FGAbelianGroup:
     return FGAbelianGroup.from_invariants(0, (d,))
 
 
 class TestTheoryEnum:
     def test_fields_and_periods(self):
-        from cliffk.scalars import ScalarField
+        from cliffk.structure import ScalarField
 
         assert KO.field is ScalarField.REAL
         assert KU.field is ScalarField.COMPLEX
-        assert KO.period == 8
-        assert KU.period == 2
 
 
 class TestK0AndForgetful:
@@ -117,19 +119,34 @@ class TestAdamsCount:
             adams_f(-1)
 
 
-NEGATIVE_DEGREES = {
+BAD_DEGREES = {
     "point_k(-1)": lambda: point_k(-1),
     "reduced_k_rpn(0)": lambda: reduced_k_rpn(0),
     "thom_stability(-1, 0)": lambda: thom_stability(-1, 0),
     "thom_stability(0, -1)": lambda: thom_stability(0, -1),
     "bott_sequence_instance(-1)": lambda: bott_sequence_instance(-1),
+    # not an int: a float or bool degree is refused, not rounded
+    "point_k(2.0)": lambda: point_k(2.0),
+    "point_k(0.0)": lambda: point_k(0.0),
+    "point_k(False)": lambda: point_k(False),
+    "reduced_k_rpn(2.5)": lambda: reduced_k_rpn(2.5),
+    "bott_sequence_instance(2.0)": lambda: bott_sequence_instance(2.0),
+    "bott_sequence_instance(0.0)": lambda: bott_sequence_instance(0.0),
 }
 
 
-@pytest.mark.parametrize("call", NEGATIVE_DEGREES)
+@pytest.mark.parametrize("call", BAD_DEGREES)
 def test_degree_out_of_range_is_a_cliffk_error(call):
     with pytest.raises(InvalidSignatureError):
-        NEGATIVE_DEGREES[call]()
+        BAD_DEGREES[call]()
+
+
+def test_cached_degree_does_not_admit_an_equal_float():
+    # 2.0 == 2 and hash(2.0) == hash(2): one cache key unless typed
+    assert point_k(2) == cyclic(2)
+    with pytest.raises(InvalidSignatureError):
+        point_k(2.0)
+    assert point_k(2) == cyclic(2)
 
 
 class TestProjectiveSpace:
@@ -186,7 +203,7 @@ def test_periodicity_is_recomputed_not_assumed(theory):
             point_k.cache_clear()
             base = step_coker(p, q, theory)
             assert step_coker(p + 1, q + 1, theory) == base, (p, q)
-            assert step_coker(p + theory.period, q, theory) == base, (p, q)
+            assert step_coker(p + PERIOD[theory], q, theory) == base, (p, q)
             if p >= q:
                 assert point_k(p - q + 1, theory) == base, (p, q)
 

@@ -14,9 +14,8 @@ import cliffk
 from adams_oracle import adams_f
 from cliffk.blades import Signature, center_basis
 from cliffk.errors import InvalidSignatureError
-from cliffk.scalars import ScalarField
-from cliffk.structure import (AlgebraDescriptor, DivisionRing, classify,
-                              irrep_dims, min_faithful_dim)
+from cliffk.structure import (AlgebraDescriptor, DivisionRing, ScalarField,
+                              classify, irrep_dims, min_faithful_dim)
 
 R, C, H = DivisionRing.R, DivisionRing.C, DivisionRing.H
 
