@@ -43,7 +43,8 @@ ARGVS = (
        for suite in ("morita", "untwist", "thom", "fiber")]
     + [["seq", path] for path in ("sequences/bott_degree0.seq",
                                   "sequences/five_term.seq",
-                                  "tests/golden/not_exact.seq")]
+                                  "tests/golden/not_exact.seq",
+                                  "tests/golden/unknown_term.seq")]
     # refused command lines
     + [["classify", "-1", "0"], ["rpn", "0"], ["verify", "--suite", "nope"]]
 )
