@@ -10,7 +10,10 @@ Subgroups are integer lattices.  A subgroup H of Z^n / col(R) is kept
 as one canonical key: the Hermite normal form of the lattice H + col(R)
 (image_key, kernel_key).  Two subgroups of a group are equal iff their
 keys are, so exactness is key equality, and the solver buckets candidate
-maps by key instead of testing pairs.  A kernel key is read off one HNF,
+maps by key instead of testing pairs.  The solver's candidates stay integer
+matrices: they are keyed from the matrix and the groups' gen_orders, their
+well-definedness is checked once per matrix cell, and a GroupHom is built
+only for a map that a solution returns.  A kernel key is read off one HNF,
 and a subgroup's index is the product of its key's pivots (exactness_at).
 Isomorphism classes (kernel, image) are read off the keys as well: the key
 rows are a basis of H + col(R), so H is presented by the coordinates of
@@ -199,12 +202,13 @@ class FGAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 0:
+        # type(), not isinstance(): a bool is an int, and would print as Z
+        if type(self.rank) is not int or self.rank < 0:
             raise InvalidGroupError(f"rank {self.rank!r} is not a "
                                     "non-negative integer")
         object.__setattr__(self, "torsion", tuple(self.torsion))
         for d in self.torsion:
-            if not isinstance(d, int) or d < 2:
+            if type(d) is not int or d < 2:
                 raise InvalidGroupError(
                     f"invariant factor {d!r} is not an integer of at least 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -220,7 +224,7 @@ class FGAbelianGroup:
             raise InvalidGroupError(
                 "relation matrix must have one row per generator")
         ncols = len(rel[0]) if rel else 0
-        if any(len(row) != ncols or not all(isinstance(v, int) for v in row)
+        if any(len(row) != ncols or not all(type(v) is int for v in row)
                for row in rel):
             raise InvalidGroupError(
                 "relation matrix must be rectangular, with integer entries")
@@ -240,7 +244,7 @@ class FGAbelianGroup:
         unchanged.
         """
         factors = list(factors)
-        if any(not isinstance(d, int) or d < 1 for d in factors):
+        if any(type(d) is not int or d < 1 for d in factors):
             raise InvalidGroupError(
                 "cyclic factor orders must be positive integers")
         k = len(factors)
@@ -313,7 +317,7 @@ class GroupHom:
         if len(mat) != nt or any(len(row) != ns for row in mat):
             raise IllDefinedHomError(
                 f"matrix must be {nt} x {ns} for {self.target} <- {self.source}")
-        if not all(isinstance(v, int) for row in mat for v in row):
+        if not all(type(v) is int for row in mat for v in row):
             raise IllDefinedHomError("matrix entries must be integers")
         t_orders = self.target.gen_orders
         for i, e in enumerate(t_orders):
@@ -458,11 +462,25 @@ def _hnf(gens, moduli) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in out)
 
 
+def _image_key(matrix, t_orders) -> tuple:
+    return _hnf(zip(*matrix), t_orders)
+
+
 def image_key(f: GroupHom) -> tuple:
     """Canonical key of im f as a subgroup of f.target: the Hermite normal
     form of the image columns stacked with the relation vectors d_i * e_i,
     so equal subgroups, and only they, get equal keys."""
-    return _hnf(zip(*f.matrix), f.target.gen_orders)
+    return _image_key(f.matrix, f.target.gen_orders)
+
+
+def _kernel_key(matrix, s_orders, t_orders) -> tuple:
+    nt, ns = len(t_orders), len(s_orders)
+    check_size("Hermite normal form of {} generators in {} coordinates",
+               (2 * ns + nt) * (ns + nt), ns, ns + nt)
+    rows = [[row[j] for row in matrix] + [int(i == j) for i in range(ns)]
+            for j in range(ns)]
+    form = _hnf(rows, t_orders + s_orders)
+    return tuple(r[nt:] for r in form if not any(r[:nt]))
 
 
 def kernel_key(f: GroupHom) -> tuple:
@@ -476,13 +494,7 @@ def kernel_key(f: GroupHom) -> tuple:
     which is the key.  The size of that HNF is checked before its rows are
     built.
     """
-    nt, ns = f.target.n_gens, f.source.n_gens
-    check_size("Hermite normal form of {} generators in {} coordinates",
-               (2 * ns + nt) * (ns + nt), ns, ns + nt)
-    rows = [[row[j] for row in f.matrix] + [int(i == j) for i in range(ns)]
-            for j in range(ns)]
-    form = _hnf(rows, f.target.gen_orders + f.source.gen_orders)
-    return tuple(r[nt:] for r in form if not any(r[:nt]))
+    return _kernel_key(f.matrix, f.source.gen_orders, f.target.gen_orders)
 
 
 def _key_group(key: tuple, moduli) -> FGAbelianGroup:
@@ -544,6 +556,10 @@ class UnknownGroup:
         if not self.candidates:
             raise InvalidSequenceError(
                 "unknown group needs at least one candidate")
+        for grp in self.candidates:
+            if not isinstance(grp, FGAbelianGroup):
+                raise InvalidSequenceError(
+                    f"unknown group candidate {grp!r} is not a group")
 
 
 @dataclass(frozen=True)
@@ -583,7 +599,8 @@ class Sequence:
             if isinstance(m, GroupHom):
                 for side, term in ((m.source, self.terms[i]),
                                    (m.target, self.terms[i + 1])):
-                    if isinstance(term, FGAbelianGroup) and side != term:
+                    if (isinstance(term, FGAbelianGroup) and side is not term
+                            and side != term):
                         raise InvalidSequenceError(
                             f"map {i} endpoints disagree with the terms")
 
@@ -655,7 +672,16 @@ def _entry_ranges(d_src: int, e_tgt: int, bound: int) -> tuple[range, ...]:
 
 
 def _entry_candidates(d_src: int, e_tgt: int, bound: int) -> list[int]:
-    return [r for run in _entry_ranges(d_src, e_tgt, bound) for r in run]
+    """The values of _entry_ranges, each checked once against GroupHom's
+    test for one cell: in [0, e_tgt) in a torsion row, and killed by d_src."""
+    values = [r for run in _entry_ranges(d_src, e_tgt, bound) for r in run]
+    for v in values:
+        if not (0 <= v < e_tgt and d_src * v % e_tgt == 0 if e_tgt
+                else d_src * v == 0):
+            raise IllDefinedHomError(
+                f"candidate entry {v} for a generator of order {d_src} in a "
+                f"coordinate of order {e_tgt} is not well-defined")
+    return values
 
 
 def _cell_counts(src: FGAbelianGroup, tgt: FGAbelianGroup, bound: int):
@@ -671,7 +697,10 @@ def _cell_counts(src: FGAbelianGroup, tgt: FGAbelianGroup, bound: int):
 
 
 def _hom_candidates(src: FGAbelianGroup, tgt: FGAbelianGroup, bound: int):
-    """Candidate matrices in deterministic order."""
+    """Candidate matrices in deterministic order, as tuples of integer rows
+    in GroupHom's reduced form.  GroupHom's test is a conjunction over the
+    cells, so it runs once per cell value (_entry_candidates), not once per
+    matrix."""
     cells = [
         _entry_candidates(d, e, bound)
         for e in tgt.gen_orders
@@ -730,10 +759,12 @@ def _decimal(n: int) -> str:
         return f"2^{n.bit_length() - 1}"
 
 
-def _exact_picks(candidates, exact_at):
+def _exact_picks(candidates, orders, exact_at):
     """Candidate indices of the maps, one tuple per exact assignment, in
     lexicographic order.
 
+    ``candidates[k]`` lists the matrices of map k, and ``orders[k]`` is the
+    gen_orders of term k, so map k runs from orders[k] to orders[k + 1].
     Depth-first over the maps from left to right.  For each marked term k,
     the candidates of map k are bucketed by kernel key, in ascending index
     order, and each candidate of map k - 1 is given the bucket of its image
@@ -746,8 +777,9 @@ def _exact_picks(candidates, exact_at):
     for k in exact_at:
         buckets = {}
         for i, g in enumerate(candidates[k]):
-            buckets.setdefault(kernel_key(g), []).append(i)
-        follow[k] = [buckets.get(image_key(f), ())
+            buckets.setdefault(_kernel_key(g, orders[k], orders[k + 1]),
+                               []).append(i)
+        follow[k] = [buckets.get(_image_key(f, orders[k]), ())
                      for f in candidates[k - 1]]
     last = len(candidates) - 1
     picks = [0] * len(candidates)
@@ -778,18 +810,21 @@ def solve_exact(seq: Sequence, bound: int,
     SearchSpaceError raised if they exceed ``max_assignments``; the count
     stops at the first partial sum past the ceiling.  An unknown map whose
     matrix has more than MAX_CELLS entries raises BoundExceededError before
-    any candidate is counted.  A negative ``bound`` raises
+    any candidate is counted.  A ``bound`` or ``max_assignments`` that is
+    not an int (a bool included), or a negative ``bound``, raises
     InvalidSequenceError.
 
-    For each choice of unknown terms, every map's candidate homomorphisms
-    are built once, and a choice that a fixed map's endpoints reject is
-    skipped whole.  At each marked term k, every candidate of map k - 1
-    gets one image key and every candidate of map k one kernel key
-    (image_key, kernel_key).  A depth-first search then fixes map 0, map 1,
-    ... in turn, and at a marked k visits only the map-k candidates whose
-    kernel key equals the image key of the fixed map k - 1.  Results come
-    in the order of a full product enumeration: term choices outermost,
-    then maps in lexicographic candidate order.
+    For each choice of unknown terms, every map's candidates are listed once
+    as integer matrices, checked once per matrix cell (_hom_candidates), and
+    a choice that a fixed map's endpoints reject is skipped whole.  At each
+    marked term k, every candidate of map k - 1 gets one image key and every
+    candidate of map k one kernel key, read off the matrix and the terms'
+    gen_orders.  A depth-first search then fixes map 0, map 1, ... in turn,
+    and at a marked k visits only the map-k candidates whose kernel key
+    equals the image key of the fixed map k - 1.  A GroupHom is built only
+    for a candidate that a solution uses, once, and shared by every solution
+    that uses it.  Results come in the order of a full product enumeration:
+    term choices outermost, then maps in lexicographic candidate order.
 
     >>> Z = FGAbelianGroup.free(1)
     >>> seq = Sequence((Z, Z, FGAbelianGroup.trivial()),
@@ -797,6 +832,10 @@ def solve_exact(seq: Sequence, bound: int,
     >>> [s.maps[0].matrix for s in solve_exact(seq, bound=1)]
     [((-1,),), ((1,),)]
     """
+    for name, value in (("solve bound", bound),
+                        ("assignment ceiling", max_assignments)):
+        if type(value) is not int:
+            raise InvalidSequenceError(f"{name} {value!r} is not an integer")
     if bound < 0:
         raise InvalidSequenceError(f"solve bound {bound} is negative")
     total = _search_space(seq, bound, max_assignments)
@@ -814,13 +853,22 @@ def solve_exact(seq: Sequence, bound: int,
         except InvalidSequenceError:
             # a fixed map's endpoints reject this combination of terms
             continue
-        # candidates are well-defined by construction (_entry_ranges)
         candidates = [
-            [GroupHom(terms[i], terms[i + 1], mat)
-             for mat in _hom_candidates(terms[i], terms[i + 1], bound)]
-            if isinstance(m, UnknownMap) else [m]
+            list(_hom_candidates(terms[i], terms[i + 1], bound))
+            if isinstance(m, UnknownMap) else [m.matrix]
             for i, m in enumerate(seq.maps)]
-        for picks in _exact_picks(candidates, exact_at):
-            maps = tuple(candidates[i][p] for i, p in enumerate(picks))
-            results.append(Sequence(terms, maps, seq.names, seq.exact_at))
+        # the maps of the solutions so far, by candidate index
+        homs = [[None] * len(c) if isinstance(m, UnknownMap) else [m]
+                for c, m in zip(candidates, seq.maps)]
+        for picks in _exact_picks(candidates,
+                                  [t.gen_orders for t in terms], exact_at):
+            maps = []
+            for i, p in enumerate(picks):
+                hom = homs[i][p]
+                if hom is None:
+                    hom = homs[i][p] = GroupHom(terms[i], terms[i + 1],
+                                                candidates[i][p])
+                maps.append(hom)
+            results.append(Sequence(terms, tuple(maps), seq.names,
+                                    seq.exact_at))
     return results

@@ -387,8 +387,8 @@ def _cmd_seq(args, fmt: str) -> int:
                 "solutions": [{
                     "terms": {sf.term_names[i]: str(sol.terms[i])
                               for i in unknown_terms},
-                    "maps": {sf.map_names[i]: [list(r)
-                                               for r in sol.maps[i].matrix]
+                    # tuples encode as the same JSON arrays as lists
+                    "maps": {sf.map_names[i]: sol.maps[i].matrix
                              for i in unknown_maps},
                 } for sol in solutions],
             }, sort_keys=True))
@@ -396,11 +396,16 @@ def _cmd_seq(args, fmt: str) -> int:
             plural = "" if len(solutions) == 1 else "s"
             print(f"solve bound = {sf.solve_bound}: "
                   f"{len(solutions)} solution{plural}")
+            # solutions share their maps; render each distinct matrix once
+            texts: dict = {}
             for k, sol in enumerate(solutions, 1):
                 parts = [f"{sf.term_names[i]} = {sol.terms[i]}"
                          for i in unknown_terms]
-                parts += [f"{sf.map_names[i]} = {_matrix_text(sol.maps[i])}"
-                          for i in unknown_maps]
+                for i in unknown_maps:
+                    mat = sol.maps[i].matrix
+                    if mat not in texts:
+                        texts[mat] = _matrix_text(sol.maps[i])
+                    parts.append(f"{sf.map_names[i]} = {texts[mat]}")
                 print(f"solution {k}: " + ", ".join(parts))
         return 0 if solutions else 1
 

@@ -7,7 +7,8 @@ class CliffkError(Exception):
 
 class InvalidSignatureError(CliffkError, ValueError):
     """A (p, q) signature with a part that is not an int (bool included) or
-    is negative, or one outside a stated bound."""
+    is negative, or one outside a stated bound; a degree or count argument
+    of that kind; or a scalar field that is not a ScalarField."""
 
 
 class InvalidBladeError(CliffkError, ValueError):
@@ -37,8 +38,9 @@ class EmbeddingError(CliffkError, ValueError):
 
 
 class InvalidGroupError(CliffkError, ValueError):
-    """A group with a negative rank, a cyclic order below 1, a broken
-    invariant chain, or a malformed presentation."""
+    """A group with a rank or cyclic order that is not an int (bool
+    included), a negative rank, a cyclic order below 1, a broken invariant
+    chain, or a malformed presentation."""
 
 
 class IllDefinedHomError(CliffkError, ValueError):
@@ -48,9 +50,10 @@ class IllDefinedHomError(CliffkError, ValueError):
 
 class InvalidSequenceError(CliffkError, ValueError):
     """A sequence whose terms, maps, names and exactness positions do not
-    fit together, an unknown group with no candidates, an exactness check
-    that lacks two concrete maps around an interior term, or a negative
-    solve bound."""
+    fit together, an unknown group with no candidates or with a candidate
+    that is not a group, an exactness check that lacks two concrete maps
+    around an interior term, a negative solve bound, or a solve bound or
+    ceiling that is not an int (bool included)."""
 
 
 class SearchSpaceError(CliffkError, ValueError):

@@ -175,6 +175,9 @@ def thom_stability(n: int, r_max: int) -> ThomStabilityReport:
     compared, and additionally matched against the degree tower at the
     shifted residue.  Truthiness of the report is the conjunction.
     """
+    if type(n) is not int or type(r_max) is not int:
+        raise InvalidSignatureError(
+            f"n {n!r} and r_max {r_max!r} must be integers")
     if n < 0 or r_max < 0:
         raise InvalidSignatureError("n and r_max must be non-negative")
 

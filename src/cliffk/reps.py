@@ -394,6 +394,9 @@ def untwist_split_check(n: int) -> bool:
     product signs multiply to 1.  Its (n+2) * 2**(n+2) entries are bounded
     by MAX_CELLS.
     """
+    if type(n) is not int:
+        raise InvalidSignatureError(
+            f"reflected-direction count {n!r} is not an integer")
     if n < 0:
         raise InvalidSignatureError(f"negative reflected-direction count {n}")
     check_size("untwist_split_check({})", (n + 2) << (n + 2), n)

@@ -111,6 +111,9 @@ def classify(sig: Signature, field: ScalarField = ScalarField.REAL) -> AlgebraDe
     """
     if not isinstance(sig, Signature):
         raise InvalidSignatureError(f"expected a Signature, got {sig!r}")
+    # every branch below reads a field that is not REAL as complex
+    if not isinstance(field, ScalarField):
+        raise InvalidSignatureError(f"expected a ScalarField, got {field!r}")
     n = sig.n
     digits = (sys.get_int_max_str_digits()
               or sys.int_info.default_max_str_digits)

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,9 +33,11 @@ from cliffk.abgroup import (
 )
 from cliffk.errors import (CliffkError, IllDefinedHomError, InvalidGroupError,
                            InvalidSequenceError, SearchSpaceError)
+from cliffk.seqfile import parse_sequence_file
 from exactness_oracle import apply, elements, identity, is_zero, reduce
 from solver_oracle import _hom_count
 
+ROOT = Path(__file__).resolve().parent.parent
 Z = FGAbelianGroup.free(1)
 Z2 = FGAbelianGroup.free(2)
 TRIV = FGAbelianGroup.trivial()
@@ -178,6 +181,24 @@ class TestFGAbelianGroup:
         # int() would turn these into Z/2 and Z/4 without a word
         with pytest.raises(InvalidGroupError, match="not an integer"):
             FGAbelianGroup(0, (factor,))
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: FGAbelianGroup(True), InvalidGroupError),
+        (lambda: FGAbelianGroup.from_invariants(True), InvalidGroupError),
+        (lambda: FGAbelianGroup.from_invariants(0, (True, 2)),
+         InvalidGroupError),
+        (lambda: FGAbelianGroup.from_presentation(1, [[True]]),
+         InvalidGroupError),
+        (lambda: GroupHom(Z, Z, ((True,),)), IllDefinedHomError),
+        (lambda: UnknownGroup((1,)), InvalidSequenceError),
+        (lambda: UnknownGroup((Z, "Z")), InvalidSequenceError),
+    ], ids=["rank", "from_invariants rank", "from_invariants order",
+            "relation entry", "hom entry", "candidate int", "candidate str"])
+    def test_bool_and_non_group_data_are_refused(self, call, error):
+        # a bool is an int to isinstance: True used to stay in the group or
+        # matrix as a 1 that prints as True
+        with pytest.raises(error):
+            call()
 
     def test_from_presentation(self):
         got = FGAbelianGroup.from_presentation(2, [[2, 0], [0, 3]])
@@ -899,6 +920,61 @@ class TestSolveExact:
                        (UNKNOWN_MAP, GroupHom.zero(cyclic(2), TRIV)),
                        exact_at=(1,))
         assert solve_exact(seq, bound=2) == solve_exact(seq, bound=2)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"bound": 1.5}, {"bound": 2.0}, {"bound": True},
+        {"bound": 1, "max_assignments": 1e6},
+        {"bound": 1, "max_assignments": True}], ids=str)
+    def test_integer_arguments_must_be_ints(self, kwargs):
+        seq = Sequence((Z, Z), (UNKNOWN_MAP,))
+        with pytest.raises(InvalidSequenceError, match="not an integer"):
+            solve_exact(seq, **kwargs)
+
+    @pytest.mark.parametrize("src, tgt, extra", [
+        (cyclic(2), cyclic(4), 1),  # 2 * 1 is not 0 mod 4
+        (cyclic(2), Z, 1),          # 2 * 1 is not 0 in Z
+        (Z, cyclic(3), 3),          # not reduced into [0, 3)
+        (Z, cyclic(3), -1),
+    ], ids=["torsion row", "free row", "unreduced", "negative"])
+    def test_ill_defined_candidate_entry_is_refused(self, monkeypatch, src,
+                                                    tgt, extra):
+        # the per-cell check stands where GroupHom's per-candidate check
+        # stood: a cell range that admits a bad entry must be caught
+        orders = (src.gen_orders[0], tgt.gen_orders[0])
+        real = cliffk.abgroup._entry_ranges
+
+        def leaky(d_src, e_tgt, bound):
+            runs = real(d_src, e_tgt, bound)
+            if (d_src, e_tgt) == orders:
+                runs += (range(extra, extra + 1),)
+            return runs
+
+        monkeypatch.setattr(cliffk.abgroup, "_entry_ranges", leaky)
+        seq = Sequence((src, tgt), (UNKNOWN_MAP,))
+        with pytest.raises(IllDefinedHomError, match="not well-defined"):
+            solve_exact(seq, bound=2)
+
+    @pytest.mark.parametrize("path", ["sequences/five_term.seq",
+                                      "tests/golden/unknown_term.seq"])
+    def test_grouphoms_built_only_for_answer_maps(self, monkeypatch, path):
+        sf = parse_sequence_file((ROOT / path).read_text(encoding="utf-8"))
+        seq = sf.to_sequence()
+        built = []
+        post_init = GroupHom.__post_init__
+
+        def counted(hom):
+            built.append(hom)
+            post_init(hom)
+
+        monkeypatch.setattr(GroupHom, "__post_init__", counted)
+        sols = solve_exact(seq, sf.solve_bound)
+        answers = [(i, m) for s in sols for i, m in enumerate(s.maps)
+                   if seq.maps[i] is UNKNOWN_MAP]
+        distinct = set(answers)
+        assert len(sols) > 1 and len(answers) > len(distinct)
+        assert len(built) == len(distinct)
+        # an equal map in two solutions is one shared object
+        assert len({(i, id(m)) for i, m in answers}) == len(distinct)
 
 
 # groups of the exhaustive comparison with the product-enumeration oracle

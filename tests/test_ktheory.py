@@ -132,6 +132,11 @@ BAD_DEGREES = {
     "reduced_k_rpn(2.5)": lambda: reduced_k_rpn(2.5),
     "bott_sequence_instance(2.0)": lambda: bott_sequence_instance(2.0),
     "bott_sequence_instance(0.0)": lambda: bott_sequence_instance(0.0),
+    "thom_stability(0, 0.5)": lambda: thom_stability(0, 0.5),
+    "thom_stability(0, True)": lambda: thom_stability(0, True),
+    "thom_stability(1.0, 0)": lambda: thom_stability(1.0, 0),
+    "untwist_split_check(2.0)": lambda: cliffk.reps.untwist_split_check(2.0),
+    "untwist_split_check(True)": lambda: cliffk.reps.untwist_split_check(True),
 }
 
 

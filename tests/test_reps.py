@@ -185,6 +185,12 @@ class TestRelationsAndDimensions:
             build_rep(Signature(0, 31), C)
         assert build_rep(Signature(13, 0)).dim == 128
 
+    @pytest.mark.parametrize("field", ["real", "complex", None])
+    def test_field_must_be_a_scalar_field(self, field):
+        # a string field used to build the complex representation
+        with pytest.raises(InvalidSignatureError, match="ScalarField"):
+            build_rep(Signature(1, 0), field)
+
     def test_broken_rep_fails_relations(self):
         rep = build_rep(Signature(0, 2))
         bad = MatrixRep(rep.sig, rep.field, rep.dim, (rep.gens[0], rep.gens[0]))

@@ -152,6 +152,16 @@ def test_signature_errors():
         classify(Signature(-1, 2))
 
 
+@pytest.mark.parametrize("function", [classify, irrep_dims],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("field", ["real", "complex", None, 0])
+def test_field_must_be_a_scalar_field(function, field):
+    # a field other than ScalarField.REAL used to be read as complex, so
+    # "real" returned M_1(C) (+) M_1(C) for C^{1,0}
+    with pytest.raises(InvalidSignatureError, match="ScalarField"):
+        function(Signature(1, 0), field)
+
+
 def test_classify_invariants_survive_optimize_flag():
     # a wrong table entry must still be caught when asserts are compiled out;
     # (1, R) for C^{1,0} gives 2 real dimensions per factor, not a square
