@@ -857,18 +857,15 @@ def solve_exact(seq: Sequence, bound: int,
             list(_hom_candidates(terms[i], terms[i + 1], bound))
             if isinstance(m, UnknownMap) else [m.matrix]
             for i, m in enumerate(seq.maps)]
-        # the maps of the solutions so far, by candidate index
-        homs = [[None] * len(c) if isinstance(m, UnknownMap) else [m]
-                for c, m in zip(candidates, seq.maps)]
+        # per map, candidate index -> the one GroupHom every solution shares
+        homs = [{} if isinstance(m, UnknownMap) else {0: m} for m in seq.maps]
         for picks in _exact_picks(candidates,
                                   [t.gen_orders for t in terms], exact_at):
-            maps = []
             for i, p in enumerate(picks):
-                hom = homs[i][p]
-                if hom is None:
-                    hom = homs[i][p] = GroupHom(terms[i], terms[i + 1],
-                                                candidates[i][p])
-                maps.append(hom)
-            results.append(Sequence(terms, tuple(maps), seq.names,
-                                    seq.exact_at))
+                if p not in homs[i]:
+                    homs[i][p] = GroupHom(terms[i], terms[i + 1],
+                                          candidates[i][p])
+            results.append(Sequence(
+                terms, tuple(homs[i][p] for i, p in enumerate(picks)),
+                seq.names, seq.exact_at))
     return results
