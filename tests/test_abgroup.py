@@ -195,8 +195,7 @@ class TestFGAbelianGroup:
     ], ids=["rank", "from_invariants rank", "from_invariants order",
             "relation entry", "hom entry", "candidate int", "candidate str"])
     def test_bool_and_non_group_data_are_refused(self, call, error):
-        # a bool is an int to isinstance: True used to stay in the group or
-        # matrix as a 1 that prints as True
+        # isinstance(True, int) holds, so only a type() test refuses a bool
         with pytest.raises(error):
             call()
 
@@ -938,8 +937,8 @@ class TestSolveExact:
     ], ids=["torsion row", "free row", "unreduced", "negative"])
     def test_ill_defined_candidate_entry_is_refused(self, monkeypatch, src,
                                                     tgt, extra):
-        # the per-cell check stands where GroupHom's per-candidate check
-        # stood: a cell range that admits a bad entry must be caught
+        # solver candidates are not GroupHoms until a solution uses them, so
+        # a cell range that admits a bad entry must be caught per cell
         orders = (src.gen_orders[0], tgt.gen_orders[0])
         real = cliffk.abgroup._entry_ranges
 
