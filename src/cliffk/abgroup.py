@@ -297,6 +297,13 @@ class FGAbelianGroup:
         return " + ".join(parts)
 
 
+def _cell_well_defined(d: int, e: int, v: int) -> bool:
+    """Whether a generator of order d (0: free) may map to the already
+    reduced value v in a target coordinate of order e (0: free): d * v must
+    vanish there."""
+    return d * v % e == 0 if e else d * v == 0
+
+
 @dataclass(frozen=True)
 class GroupHom:
     """A homomorphism, stored as its matrix on canonical generators.
@@ -327,8 +334,7 @@ class GroupHom:
             if not d:
                 continue
             for i, e in enumerate(t_orders):
-                v = d * mat[i][j]
-                if (e == 0 and v != 0) or (e != 0 and v % e):
+                if not _cell_well_defined(d, e, mat[i][j]):
                     raise IllDefinedHomError(
                         f"generator {j} of order {d} maps outside its order "
                         f"(target coordinate {i})")
@@ -599,8 +605,7 @@ class Sequence:
             if isinstance(m, GroupHom):
                 for side, term in ((m.source, self.terms[i]),
                                    (m.target, self.terms[i + 1])):
-                    if (isinstance(term, FGAbelianGroup) and side is not term
-                            and side != term):
+                    if isinstance(term, FGAbelianGroup) and side != term:
                         raise InvalidSequenceError(
                             f"map {i} endpoints disagree with the terms")
 
@@ -673,11 +678,12 @@ def _entry_ranges(d_src: int, e_tgt: int, bound: int) -> tuple[range, ...]:
 
 def _entry_candidates(d_src: int, e_tgt: int, bound: int) -> list[int]:
     """The values of _entry_ranges, each checked once against GroupHom's
-    test for one cell: in [0, e_tgt) in a torsion row, and killed by d_src."""
+    test for one cell: reduced to [0, e_tgt) in a torsion row, and
+    _cell_well_defined."""
     values = [r for run in _entry_ranges(d_src, e_tgt, bound) for r in run]
     for v in values:
-        if not (0 <= v < e_tgt and d_src * v % e_tgt == 0 if e_tgt
-                else d_src * v == 0):
+        if ((e_tgt and not 0 <= v < e_tgt)
+                or not _cell_well_defined(d_src, e_tgt, v)):
             raise IllDefinedHomError(
                 f"candidate entry {v} for a generator of order {d_src} in a "
                 f"coordinate of order {e_tgt} is not well-defined")

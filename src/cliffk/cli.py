@@ -396,16 +396,11 @@ def _cmd_seq(args, fmt: str) -> int:
             plural = "" if len(solutions) == 1 else "s"
             print(f"solve bound = {sf.solve_bound}: "
                   f"{len(solutions)} solution{plural}")
-            # solutions share their maps; render each distinct matrix once
-            texts: dict = {}
             for k, sol in enumerate(solutions, 1):
                 parts = [f"{sf.term_names[i]} = {sol.terms[i]}"
                          for i in unknown_terms]
-                for i in unknown_maps:
-                    mat = sol.maps[i].matrix
-                    if mat not in texts:
-                        texts[mat] = _matrix_text(sol.maps[i])
-                    parts.append(f"{sf.map_names[i]} = {texts[mat]}")
+                parts += [f"{sf.map_names[i]} = {_matrix_text(sol.maps[i])}"
+                          for i in unknown_maps]
                 print(f"solution {k}: " + ", ".join(parts))
         return 0 if solutions else 1
 
