@@ -188,6 +188,12 @@ def _invariant_chain(orders) -> tuple[int, ...]:
     return tuple(c for c, n in reversed(runs) for _ in range(n))
 
 
+def _check_rank(rank) -> None:
+    # type(), not isinstance(): a bool is an int, and would print as Z
+    if type(rank) is not int or rank < 0:
+        raise InvalidGroupError(f"rank {rank!r} is not a non-negative integer")
+
+
 @dataclass(frozen=True)
 class FGAbelianGroup:
     """Z^rank plus cyclic factors Z/d1 + Z/d2 + ... with d1 | d2 | ...
@@ -202,10 +208,7 @@ class FGAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        # type(), not isinstance(): a bool is an int, and would print as Z
-        if type(self.rank) is not int or self.rank < 0:
-            raise InvalidGroupError(f"rank {self.rank!r} is not a "
-                                    "non-negative integer")
+        _check_rank(self.rank)
         object.__setattr__(self, "torsion", tuple(self.torsion))
         for d in self.torsion:
             if type(d) is not int or d < 2:
@@ -243,6 +246,7 @@ class FGAbelianGroup:
         (_invariant_chain), with no matrix; the free rank passes through
         unchanged.
         """
+        _check_rank(rank)
         factors = list(factors)
         if any(type(d) is not int or d < 1 for d in factors):
             raise InvalidGroupError(
@@ -319,6 +323,9 @@ class GroupHom:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        for end in (self.source, self.target):
+            if not isinstance(end, FGAbelianGroup):
+                raise IllDefinedHomError(f"map endpoint {end!r} is not a group")
         ns, nt = self.source.n_gens, self.target.n_gens
         mat = [list(row) for row in self.matrix]
         if len(mat) != nt or any(len(row) != ns for row in mat):
@@ -597,6 +604,9 @@ class Sequence:
                 "need exactly one map between consecutive terms")
         if self.names is not None and len(self.names) != len(self.terms):
             raise InvalidSequenceError("one name per term")
+        for term in self.terms:
+            if not isinstance(term, (FGAbelianGroup, UnknownGroup)):
+                raise InvalidSequenceError(f"term {term!r} is not a group")
         for pos in self.exact_at:
             if not 1 <= pos <= len(self.terms) - 2:
                 raise InvalidSequenceError(

@@ -8,7 +8,8 @@ class CliffkError(Exception):
 class InvalidSignatureError(CliffkError, ValueError):
     """A (p, q) signature with a part that is not an int (bool included) or
     is negative, or one outside a stated bound; a degree or count argument
-    of that kind; or a scalar field that is not a ScalarField."""
+    of that kind; a signature argument that is not a Signature; a scalar
+    field that is not a ScalarField; or a theory that is not a KTheory."""
 
 
 class InvalidBladeError(CliffkError, ValueError):
@@ -44,16 +45,18 @@ class InvalidGroupError(CliffkError, ValueError):
 
 
 class IllDefinedHomError(CliffkError, ValueError):
-    """A homomorphism matrix of the wrong shape, with an entry that is not
-    an integer, or that does not respect the source relations."""
+    """A homomorphism whose source or target is not a group, or whose
+    matrix has the wrong shape, an entry that is not an integer, or an
+    entry that does not respect the source relations."""
 
 
 class InvalidSequenceError(CliffkError, ValueError):
     """A sequence whose terms, maps, names and exactness positions do not
-    fit together, an unknown group with no candidates or with a candidate
-    that is not a group, an exactness check that lacks two concrete maps
-    around an interior term, a negative solve bound, or a solve bound or
-    ceiling that is not an int (bool included)."""
+    fit together, a term that is neither a group nor an unknown group, an
+    unknown group with no candidates or with a candidate that is not a
+    group, an exactness check that lacks two concrete maps around an
+    interior term, a negative solve bound, or a solve bound or ceiling
+    that is not an int (bool included)."""
 
 
 class SearchSpaceError(CliffkError, ValueError):

@@ -95,7 +95,11 @@ def _max_printable_exponent(digits: int) -> int:
     return (10 ** digits).bit_length() - 1
 
 
-@lru_cache(maxsize=None)
+def _check_signature(sig) -> None:
+    if not isinstance(sig, Signature):
+        raise InvalidSignatureError(f"expected a Signature, got {sig!r}")
+
+
 def classify(sig: Signature, field: ScalarField = ScalarField.REAL) -> AlgebraDescriptor:
     """Matrix-algebra form of C^{p,q} over the given scalar field.
 
@@ -106,14 +110,21 @@ def classify(sig: Signature, field: ScalarField = ScalarField.REAL) -> AlgebraDe
     >>> str(classify(Signature(3, 0), ScalarField.REAL))
     'M_1(H) (+) M_1(H)'
 
-    The dimension 2**n must be printable: past the interpreter's integer
-    string limit BoundExceededError is raised before any big-integer work.
+    The arguments are checked before the cache, so a signature that is not
+    a Signature or a field that is not a ScalarField raises
+    InvalidSignatureError, unhashable ones too.  The dimension 2**n must be
+    printable: past the interpreter's integer string limit
+    BoundExceededError is raised before any big-integer work.
     """
-    if not isinstance(sig, Signature):
-        raise InvalidSignatureError(f"expected a Signature, got {sig!r}")
-    # every branch below reads a field that is not REAL as complex
+    _check_signature(sig)
+    # _classify reads a field that is not REAL as complex
     if not isinstance(field, ScalarField):
         raise InvalidSignatureError(f"expected a ScalarField, got {field!r}")
+    return _classify(sig, field)
+
+
+@lru_cache(maxsize=None)
+def _classify(sig: Signature, field: ScalarField) -> AlgebraDescriptor:
     n = sig.n
     digits = (sys.get_int_max_str_digits()
               or sys.int_info.default_max_str_digits)
@@ -187,7 +198,11 @@ def restriction_multiplicities(big: Signature, small: Signature,
     ((2,),)
     >>> restriction_multiplicities(Signature(3, 0), Signature(2, 0))
     ((1, 1),)
+
+    A big or small that is not a Signature raises InvalidSignatureError.
     """
+    _check_signature(big)
+    _check_signature(small)
     if not big.contains(small):
         raise EmbeddingError(f"{small} does not embed in {big}")
     dims_b = irrep_dims(big, field)

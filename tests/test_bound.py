@@ -11,7 +11,7 @@ import pytest
 
 import cliffk
 import rank_oracle
-from cliffk import abgroup, blades, errors, reps, structure
+from cliffk import abgroup, blades, errors, ktheory, reps, structure
 from cliffk.abgroup import (UNKNOWN_MAP, FGAbelianGroup, GroupHom, Sequence,
                             kernel_key, smith_normal_form, solve_exact)
 from cliffk.blades import Signature, center_basis
@@ -101,7 +101,7 @@ SITES = {
     # the K path builds no representation: its bound is classify's digit
     # limit (n <= 14284), and the admitted call is cheap enough to run
     "point_k": (None, None,
-                lambda: point_k.__wrapped__(14284, KTheory.KO) == Z,
+                lambda: ktheory._point_k.__wrapped__(14284, KTheory.KO) == Z,
                 lambda: point_k(14285, KTheory.KO)),
     "reduced_k_rpn": (None, None,
                       lambda: reduced_k_rpn(14284, KTheory.KU) ==
@@ -192,31 +192,31 @@ def test_classify_unlimited_string_digits_uses_default(monkeypatch):
         sys.int_info.default_max_str_digits)
     assert edge == 14284
     with pytest.raises(BoundExceededError):
-        structure.classify.__wrapped__(Signature(edge + 1, 0))
-    assert structure.classify.__wrapped__(Signature(edge, 0), C).factors == 1
+        structure._classify.__wrapped__(Signature(edge + 1, 0), R)
+    assert structure._classify.__wrapped__(Signature(edge, 0), C).factors == 1
 
 
 def test_classify_follows_raised_string_limit(monkeypatch):
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5000)
-    desc = structure.classify.__wrapped__(Signature(15000, 0), R)
+    desc = structure._classify.__wrapped__(Signature(15000, 0), R)
     assert desc.matrix_size == 1 << 7500
 
 
 def test_classify_skips_the_digit_test_for_small_n(monkeypatch):
     # 2**n has at most d digits when n <= 3d (8**d < 10**d), so classify
     # builds no 10**d there; above 3d the exact test still decides
-    expect = structure.classify.__wrapped__(Signature(12, 0))
+    expect = structure._classify.__wrapped__(Signature(12, 0), R)
 
     def refuse(digits):
         raise AssertionError(f"exact digit test run for {digits} digits")
 
     monkeypatch.setattr(structure, "_max_printable_exponent", refuse)
-    assert structure.classify.__wrapped__(Signature(12, 0)) == expect
+    assert structure._classify.__wrapped__(Signature(12, 0), R) == expect
     digits = (sys.get_int_max_str_digits()
               or sys.int_info.default_max_str_digits)
-    structure.classify.__wrapped__(Signature(3 * digits, 0))
+    structure._classify.__wrapped__(Signature(3 * digits, 0), R)
     with pytest.raises(AssertionError, match="exact digit test"):
-        structure.classify.__wrapped__(Signature(3 * digits + 1, 0))
+        structure._classify.__wrapped__(Signature(3 * digits + 1, 0), R)
 
 
 CHILD = """

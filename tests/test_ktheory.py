@@ -2,10 +2,13 @@
 
 import pytest
 
+import cliffk.abgroup
 import cliffk.ktheory
 import cliffk.reps
 from adams_oracle import adams_f
-from cliffk.abgroup import FGAbelianGroup, UnknownMap, cokernel, solve_exact
+from cliffk import structure
+from cliffk.abgroup import (FGAbelianGroup, GroupHom, UnknownMap, cokernel,
+                            kernel, solve_exact)
 from cliffk.blades import Signature
 from cliffk.cli import main
 from cliffk.errors import (BoundExceededError, EmbeddingError,
@@ -23,7 +26,7 @@ from cliffk.ktheory import (
     sequence_E_point_instance,
     thom_stability,
 )
-from cliffk.structure import classify
+from cliffk.structure import ScalarField
 
 KO, KU = KTheory.KO, KTheory.KU
 Z = FGAbelianGroup.free(1)
@@ -109,6 +112,52 @@ class TestRelativeK:
             assert shifted == base
 
 
+def inclusions(limit: int = 12):
+    """Every generator-segment inclusion (p, q) in (P, Q), P, Q <= limit."""
+    for big_p in range(limit + 1):
+        for big_q in range(limit + 1):
+            for p in range(big_p + 1):
+                for q in range(big_q + 1):
+                    yield Signature(big_p, big_q), Signature(p, q)
+
+
+@pytest.mark.parametrize("field", list(ScalarField), ids=["real", "complex"])
+def test_relative_k_matches_the_snf_oracle(field):
+    # the rank-one closed form against the Smith and Hermite normal forms
+    # of the validated K0 map, over all 8281 inclusions
+    count = 0
+    for big, small in inclusions():
+        f = forgetful_k_map(big, small, field)
+        assert relative_k(big, small, field) == \
+            RelativeK(cokernel(f), kernel(f)), (big, small)
+        count += 1
+    assert count == 8281
+
+
+class TestClosedFormBranches:
+    """Matrices the classification table never gives, planted in place of
+    the restriction matrix: m = 0 is read off, any other shape raises."""
+
+    def plant(self, monkeypatch, matrix):
+        monkeypatch.setattr(cliffk.ktheory, "restriction_multiplicities",
+                            lambda *_args: matrix)
+
+    @pytest.mark.parametrize("matrix", [((0,),), ((0, 0),), ((0,), (0,))])
+    def test_zero_multiple_matches_the_oracle(self, monkeypatch, matrix):
+        self.plant(monkeypatch, matrix)
+        f = GroupHom(FGAbelianGroup.free(len(matrix[0])),
+                     FGAbelianGroup.free(len(matrix)), matrix)
+        got = relative_k(Signature(1, 0), Signature(0, 0))
+        assert got == RelativeK(cokernel(f), kernel(f))
+
+    @pytest.mark.parametrize("matrix", [((1, 2),), ((2,), (4,)),
+                                        ((1, 0), (0, 1))])
+    def test_other_shapes_raise(self, monkeypatch, matrix):
+        self.plant(monkeypatch, matrix)
+        with pytest.raises(AssertionError, match="all-ones"):
+            relative_k(Signature(3, 0), Signature(0, 0))
+
+
 class TestAdamsCount:
     def test_pinned_values(self):
         want = [0, 1, 2, 2, 3, 3, 3, 3, 4, 5, 6, 6, 7, 7, 7, 7, 8]
@@ -144,6 +193,26 @@ BAD_DEGREES = {
 def test_degree_out_of_range_is_a_cliffk_error(call):
     with pytest.raises(InvalidSignatureError):
         BAD_DEGREES[call]()
+
+
+BAD_ARGUMENTS = {
+    "point_k(1, [])": lambda: point_k(1, []),
+    "point_k(1, 'ko')": lambda: point_k(1, "ko"),
+    "point_k(0, None)": lambda: point_k(0, None),
+    "reduced_k_rpn(2, 'ko')": lambda: reduced_k_rpn(2, "ko"),
+    "reduced_k_rpn('x')": lambda: reduced_k_rpn("x"),
+    "relative_k('x', C^{0,0})": lambda: relative_k("x", Signature(0, 0)),
+    "forgetful_k_map(C^{1,0}, (0, 0))":
+        lambda: forgetful_k_map(Signature(1, 0), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS)
+def test_non_k_arguments_are_a_cliffk_error(call):
+    # checked before the cache, which cannot hash a list, and before any
+    # attribute of a wrong object is read
+    with pytest.raises(InvalidSignatureError):
+        BAD_ARGUMENTS[call]()
 
 
 def test_cached_degree_does_not_admit_an_equal_float():
@@ -204,8 +273,8 @@ def test_periodicity_is_recomputed_not_assumed(theory):
     # diagonal p >= q it is the degree -(p-q+1) point group
     for p in range(13):
         for q in range(13):
-            classify.cache_clear()
-            point_k.cache_clear()
+            structure._classify.cache_clear()
+            cliffk.ktheory._point_k.cache_clear()
             base = step_coker(p, q, theory)
             assert step_coker(p + 1, q + 1, theory) == base, (p, q)
             assert step_coker(p + PERIOD[theory], q, theory) == base, (p, q)
@@ -330,7 +399,7 @@ class TestNoRepresentationOnKPath:
             raise AssertionError("the K path built a representation")
 
         monkeypatch.setattr(cliffk.reps, "build_rep", refuse)
-        point_k.cache_clear()
+        cliffk.ktheory._point_k.cache_clear()
 
     @pytest.mark.parametrize("theory,row", [("ko", KO_ROW), ("ku", ("Z", "0"))],
                              ids=["ko", "ku"])
@@ -356,3 +425,42 @@ class TestNoRepresentationOnKPath:
         assert report.passed
         assert report.checks[3].detail == \
             "direct route ((2,),), twisted route ((2,),)"
+
+
+class TestNoNormalFormOnKPath:
+    """The K groups are read off the rank-one restriction matrix: with the
+    normal forms and GroupHom construction made to raise, and cold caches,
+    every K computation still gives its pinned answer."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_normal_forms(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the K path reached a normal form or a "
+                                 "GroupHom")
+
+        monkeypatch.setattr(cliffk.abgroup, "smith_normal_form", refuse)
+        monkeypatch.setattr(cliffk.abgroup, "_hnf", refuse)
+        monkeypatch.setattr(GroupHom, "__post_init__", refuse)
+        structure._classify.cache_clear()
+        cliffk.ktheory._point_k.cache_clear()
+
+    @pytest.mark.parametrize("theory,row", [("ko", KO_ROW), ("ku", ("Z", "0"))],
+                             ids=["ko", "ku"])
+    def test_bott_table(self, capsys, theory, row):
+        assert main(["bott", "--max", "20", "--theory", theory]) == 0
+        label = theory.upper()
+        assert capsys.readouterr().out == "".join(
+            f"{label}^-{i}: {row[i % len(row)]}\n" for i in range(21))
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_projective_space(self, n):
+        assert reduced_k_rpn(n, KO) == cyclic(2 ** adams_f(n))
+        assert reduced_k_rpn(n, KU) == \
+            (cyclic(2 ** (n // 2)) if n >= 2 else TRIV)
+
+    @pytest.mark.parametrize("n", range(3))
+    def test_thom_stability(self, n):
+        report = thom_stability(n, 2)
+        assert report.passed
+        assert [str(low) for _m, low, _high, _ok in report.period_checks] == \
+            list(GROWTH_PAIRS[n:n + 3])

@@ -15,7 +15,8 @@ from adams_oracle import adams_f
 from cliffk.blades import Signature, center_basis
 from cliffk.errors import InvalidSignatureError
 from cliffk.structure import (AlgebraDescriptor, DivisionRing, ScalarField,
-                              classify, irrep_dims, min_faithful_dim)
+                              classify, irrep_dims, min_faithful_dim,
+                              restriction_multiplicities)
 
 R, C, H = DivisionRing.R, DivisionRing.C, DivisionRing.H
 
@@ -160,6 +161,25 @@ def test_field_must_be_a_scalar_field(function, field):
     # "real" returned M_1(C) (+) M_1(C) for C^{1,0}
     with pytest.raises(InvalidSignatureError, match="ScalarField"):
         function(Signature(1, 0), field)
+
+
+@pytest.mark.parametrize("args", [
+    (Signature(1, 0), []), ([1, 0],), ({}, ScalarField.REAL),
+], ids=["list field", "list signature", "dict signature"])
+def test_unhashable_arguments_are_refused_before_the_cache(args):
+    # classify's cache hashes its arguments: checked there, these raised
+    # TypeError (unhashable type) before any check ran
+    with pytest.raises(InvalidSignatureError):
+        classify(*args)
+
+
+@pytest.mark.parametrize("big,small", [
+    (Signature(1, 0), (0, 0)), ("x", Signature(0, 0)),
+    (Signature(1, 0), None),
+], ids=["tuple small", "str big", "None small"])
+def test_restriction_needs_signatures(big, small):
+    with pytest.raises(InvalidSignatureError, match="Signature"):
+        restriction_multiplicities(big, small)
 
 
 def test_classify_invariants_survive_optimize_flag():
