@@ -612,12 +612,15 @@ class Sequence:
                 raise InvalidSequenceError(
                     f"exactness position {pos} is not interior")
         for i, m in enumerate(self.maps):
-            if isinstance(m, GroupHom):
-                for side, term in ((m.source, self.terms[i]),
-                                   (m.target, self.terms[i + 1])):
-                    if isinstance(term, FGAbelianGroup) and side != term:
-                        raise InvalidSequenceError(
-                            f"map {i} endpoints disagree with the terms")
+            if isinstance(m, UnknownMap):
+                continue
+            if not isinstance(m, GroupHom):
+                raise InvalidSequenceError(f"map {m!r} is not a GroupHom")
+            for side, term in ((m.source, self.terms[i]),
+                               (m.target, self.terms[i + 1])):
+                if isinstance(term, FGAbelianGroup) and side != term:
+                    raise InvalidSequenceError(
+                        f"map {i} endpoints disagree with the terms")
 
 
 def _maps_around(seq: Sequence, at: int) -> tuple[GroupHom, GroupHom]:

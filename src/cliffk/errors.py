@@ -52,11 +52,12 @@ class IllDefinedHomError(CliffkError, ValueError):
 
 class InvalidSequenceError(CliffkError, ValueError):
     """A sequence whose terms, maps, names and exactness positions do not
-    fit together, a term that is neither a group nor an unknown group, an
-    unknown group with no candidates or with a candidate that is not a
-    group, an exactness check that lacks two concrete maps around an
-    interior term, a negative solve bound, or a solve bound or ceiling
-    that is not an int (bool included)."""
+    fit together, a term that is neither a group nor an unknown group, a
+    map that is neither a GroupHom nor an unknown map, an unknown group
+    with no candidates or with a candidate that is not a group, an
+    exactness check that lacks two concrete maps around an interior term,
+    a negative solve bound, or a solve bound or ceiling that is not an int
+    (bool included)."""
 
 
 class SearchSpaceError(CliffkError, ValueError):

@@ -198,10 +198,11 @@ class TestFGAbelianGroup:
         (lambda: GroupHom(Z, "Z", ((1,),)), IllDefinedHomError),
         (lambda: Sequence((Z, "Z"), (UNKNOWN_MAP,)), InvalidSequenceError),
         (lambda: Sequence((None, Z), (UNKNOWN_MAP,)), InvalidSequenceError),
+        (lambda: Sequence((Z, Z), ("f",)), InvalidSequenceError),
     ], ids=["rank", "from_invariants rank", "from_invariants order",
             "relation entry", "hom entry", "candidate int", "candidate str",
             "from_invariants str rank", "hom source str", "hom target str",
-            "sequence term str", "sequence term None"])
+            "sequence term str", "sequence term None", "sequence map str"])
     def test_bool_and_non_group_data_are_refused(self, call, error):
         # isinstance(True, int) holds, so only a type() test refuses a bool
         with pytest.raises(error):
