@@ -44,7 +44,8 @@ ARGVS = (
     + [["seq", path] for path in ("sequences/bott_degree0.seq",
                                   "sequences/five_term.seq",
                                   "tests/golden/not_exact.seq",
-                                  "tests/golden/unknown_term.seq")]
+                                  "tests/golden/unknown_term.seq",
+                                  "tests/golden/gapped_checks.seq")]
     # refused command lines
     + [["classify", "-1", "0"], ["rpn", "0"], ["verify", "--suite", "nope"]]
 )
