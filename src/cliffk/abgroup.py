@@ -104,7 +104,8 @@ def _diagonalize(D: list, U: list, V: list, m: int, n: int) -> None:
                     _col_sub(V, j, t, q)
                     if D[t][j]:
                         dirty = True
-            if not dirty and all(D[i][t] == 0 for i in range(m) if i != t):
+            if not dirty:
+                # column t is still clear: the column pass leaves it alone
                 break
         t += 1
 
@@ -134,21 +135,18 @@ def smith_normal_form(mat) -> tuple[list, list, list]:
         _diagonalize(D, U, V, nrows, ncols)
         for t in range(min(nrows, ncols)):
             if D[t][t] < 0:
-                for j in range(ncols):
-                    D[t][j] = -D[t][j]
+                D[t][t] = -D[t][t]  # D is diagonal here
                 for j in range(nrows):
                     U[t][j] = -U[t][j]
-        fix = -1
         for t in range(min(nrows, ncols) - 1):
             a, b = D[t][t], D[t + 1][t + 1]
             if a and b and b % a:
-                fix = t
+                # merge the offending pair and rediagonalize
+                _col_sub(D, t, t + 1, -1)
+                _col_sub(V, t, t + 1, -1)
                 break
-        if fix < 0:
+        else:
             return U, D, V
-        # merge the offending pair and rediagonalize
-        _col_sub(D, fix, fix + 1, -1)
-        _col_sub(V, fix, fix + 1, -1)
     raise AssertionError("Smith normal form failed to converge")
 
 
@@ -234,8 +232,7 @@ class FGAbelianGroup:
         if not ncols:
             return cls.free(n_gens)
         _u, d, _v = smith_normal_form(rel)
-        diag = [d[i][i] for i in range(min(n_gens, ncols))]
-        nonzero = [x for x in diag if x]
+        nonzero = [d[i][i] for i in range(min(n_gens, ncols)) if d[i][i]]
         return cls(n_gens - len(nonzero), tuple(x for x in nonzero if x > 1))
 
     @classmethod
@@ -321,6 +318,7 @@ class GroupHom:
     source: FGAbelianGroup
     target: FGAbelianGroup
     matrix: tuple[tuple[int, ...], ...]
+    _keys = None  # (image key, kernel key) from kernel_key; == ignores it
 
     def __post_init__(self):
         for end in (self.source, self.target):
@@ -475,25 +473,27 @@ def _hnf(gens, moduli) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in out)
 
 
-def _image_key(matrix, t_orders) -> tuple:
-    return _hnf(zip(*matrix), t_orders)
-
-
 def image_key(f: GroupHom) -> tuple:
     """Canonical key of im f as a subgroup of f.target: the Hermite normal
     form of the image columns stacked with the relation vectors d_i * e_i,
-    so equal subgroups, and only they, get equal keys."""
-    return _image_key(f.matrix, f.target.gen_orders)
+    so equal subgroups, and only they, get equal keys.  Read off the
+    kernel key's HNF when kernel_key(f) has built it."""
+    if f._keys:
+        return f._keys[0]
+    return _hnf(zip(*f.matrix), f.target.gen_orders)
 
 
 def _kernel_key(matrix, s_orders, t_orders) -> tuple:
+    """(image key, kernel key) of the map ``matrix``, off one HNF."""
     nt, ns = len(t_orders), len(s_orders)
     check_size("Hermite normal form of {} generators in {} coordinates",
                (2 * ns + nt) * (ns + nt), ns, ns + nt)
     rows = [[row[j] for row in matrix] + [int(i == j) for i in range(ns)]
             for j in range(ns)]
     form = _hnf(rows, t_orders + s_orders)
-    return tuple(r[nt:] for r in form if not any(r[:nt]))
+    ker = tuple(r[nt:] for r in form if not any(r[:nt]))
+    # in echelon order, the rows with a pivot in the target block come first
+    return tuple(r[:nt] for r in form[:len(form) - len(ker)]), ker
 
 
 def kernel_key(f: GroupHom) -> tuple:
@@ -504,10 +504,15 @@ def kernel_key(f: GroupHom) -> tuple:
     well-definedness puts F R_s inside col(R_t), so the source relations
     add nothing new.  L meets 0 + Z^ns exactly in ker f, and the HNF rows
     of L that vanish on the target block are the HNF of that intersection,
-    which is the key.  The size of that HNF is checked before its rows are
-    built.
+    which is the key.  The other rows, cut to the target block, are the
+    HNF of L's projection there, im f + col(R_t): the image key, which f
+    keeps (image_key).  The size of that HNF is checked before its rows
+    are built.
     """
-    return _kernel_key(f.matrix, f.source.gen_orders, f.target.gen_orders)
+    if not f._keys:
+        vars(f)["_keys"] = _kernel_key(f.matrix, f.source.gen_orders,
+                                       f.target.gen_orders)
+    return f._keys[1]
 
 
 def _key_group(key: tuple, moduli) -> FGAbelianGroup:
@@ -608,9 +613,10 @@ class Sequence:
             if not isinstance(term, (FGAbelianGroup, UnknownGroup)):
                 raise InvalidSequenceError(f"term {term!r} is not a group")
         for pos in self.exact_at:
-            if not 1 <= pos <= len(self.terms) - 2:
+            # type(), not isinstance(): True and 1.0 are not positions
+            if type(pos) is not int or not 1 <= pos <= len(self.terms) - 2:
                 raise InvalidSequenceError(
-                    f"exactness position {pos} is not interior")
+                    f"exactness position {pos!r} is not interior")
         for i, m in enumerate(self.maps):
             if isinstance(m, UnknownMap):
                 continue
@@ -623,27 +629,6 @@ class Sequence:
                         f"map {i} endpoints disagree with the terms")
 
 
-def _maps_around(seq: Sequence, at: int) -> tuple[GroupHom, GroupHom]:
-    """The concrete maps into and out of interior term ``at``."""
-    if not 1 <= at <= len(seq.terms) - 2:
-        raise InvalidSequenceError(f"exactness position {at} is not interior")
-    f, g = seq.maps[at - 1], seq.maps[at]
-    if not isinstance(f, GroupHom) or not isinstance(g, GroupHom):
-        raise InvalidSequenceError("exactness check needs concrete maps")
-    return f, g
-
-
-def _key_index(key: tuple, n_gens: int) -> int | None:
-    """Index in Z^n_gens of the lattice a key spans, None if infinite.
-
-    A key of full rank has its pivots on the diagonal, and the index is
-    their product.
-    """
-    if len(key) != n_gens:
-        return None
-    return prod(row[i] for i, row in enumerate(key))
-
-
 def exactness_at(seq: Sequence, at: int) -> tuple[bool, int | None,
                                                   int | None]:
     """(exact at ``at``, [middle : image], [middle : kernel]), from one
@@ -652,9 +637,13 @@ def exactness_at(seq: Sequence, at: int) -> tuple[bool, int | None,
     Exactness is equality of the keys (image_key, kernel_key).  A
     subgroup's key spans it together with the middle term's relations, so
     the subgroup's index in the middle term, None if infinite, is the key
-    lattice's index in Z^n.  Image equal to kernel already forces the
-    composite to be zero, so no composition is formed.  The maps around
-    ``at`` must be concrete and meet at the middle term.
+    lattice's index in Z^n: the product of its pivots, which sit on the
+    diagonal when the key has full rank.  Image equal to kernel already
+    forces the composite to be zero, so no composition is formed.  The maps
+    around ``at`` must be concrete and meet at the middle term.  Each map
+    keeps its keys, and f gets both off one HNF when at - 1 is checked too
+    (marked, or interior when nothing is marked); else its image key gets
+    its own smaller HNF.
 
     >>> Z = FGAbelianGroup.free(1)
     >>> Z2 = FGAbelianGroup.from_invariants(0, (2,))
@@ -663,11 +652,19 @@ def exactness_at(seq: Sequence, at: int) -> tuple[bool, int | None,
     >>> exactness_at(seq, 1)
     (True, 2, 2)
     """
-    f, g = _maps_around(seq, at)
+    if not 1 <= at <= len(seq.terms) - 2:
+        raise InvalidSequenceError(f"exactness position {at} is not interior")
+    f, g = seq.maps[at - 1], seq.maps[at]
+    if not isinstance(f, GroupHom) or not isinstance(g, GroupHom):
+        raise InvalidSequenceError("exactness check needs concrete maps")
     if f.target != g.source:
         raise IllDefinedHomError("composition endpoint mismatch")
-    n, img, ker = f.target.n_gens, image_key(f), kernel_key(g)
-    return img == ker, _key_index(img, n), _key_index(ker, n)
+    if at - 1 in (seq.exact_at or range(1, at)):
+        kernel_key(f)  # needed at at - 1 too; one HNF gives both keys of f
+    img, ker = image_key(f), kernel_key(g)
+    return img == ker, *[prod(row[i] for i, row in enumerate(key))
+                         if len(key) == f.target.n_gens else None
+                         for key in (img, ker)]
 
 
 def _entry_ranges(d_src: int, e_tgt: int, bound: int) -> tuple[range, ...]:
@@ -789,17 +786,20 @@ def _exact_picks(candidates, orders, exact_at):
     order, and each candidate of map k - 1 is given the bucket of its image
     key.  Once map k - 1 is fixed, the search visits only that bucket at
     map k: exactly the candidates exact with it, in the order a full product
-    enumeration meets them.  Each candidate gets at most one key of each
-    kind, so the work is linear in the candidates plus the solutions.
+    enumeration meets them.  Each candidate gets one HNF, which gives both
+    keys when k and k + 1 are marked, so the work is linear in the
+    candidates plus the solutions.
     """
+    keys = {k: [_kernel_key(g, orders[k], orders[k + 1])
+                for g in candidates[k]] for k in exact_at}
     follow = {}
     for k in exact_at:
         buckets = {}
-        for i, g in enumerate(candidates[k]):
-            buckets.setdefault(_kernel_key(g, orders[k], orders[k + 1]),
-                               []).append(i)
-        follow[k] = [buckets.get(_image_key(f, orders[k]), ())
-                     for f in candidates[k - 1]]
+        for i, (_img, ker) in enumerate(keys[k]):
+            buckets.setdefault(ker, []).append(i)
+        follow[k] = [buckets.get(keys[k - 1][i][0] if k - 1 in keys
+                                 else _hnf(zip(*f), orders[k]), ())
+                     for i, f in enumerate(candidates[k - 1])]
     last = len(candidates) - 1
     picks = [0] * len(candidates)
     stack = [iter(range(len(candidates[0])))]

@@ -363,8 +363,8 @@ def _matrix_text(hom) -> str:
 
 def _cmd_seq(args, fmt: str) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ them.
 import itertools
 
 from cliffk.abgroup import (FGAbelianGroup, GroupHom, Sequence, _hnf,
-                            _maps_around, smith_normal_form)
+                            smith_normal_form)
 
 
 def identity(group: FGAbelianGroup) -> GroupHom:
@@ -155,7 +155,7 @@ def check_exact(seq: Sequence, at: int) -> bool:
     containment is checked on kernel generators against the image lattice
     (image columns plus middle relations).
     """
-    f, g = _maps_around(seq, at)
+    f, g = seq.maps[at - 1], seq.maps[at]
     if not is_zero(g @ f):
         return False
     middle = f.target

@@ -466,6 +466,12 @@ class TestSequenceValidation:
         with pytest.raises(InvalidSequenceError):
             Sequence((Z, Z, Z), (f, f), exact_at=(2,))
 
+    @pytest.mark.parametrize("pos", [True, 1.0, "a"])
+    def test_exact_positions_must_be_ints(self, pos):
+        f = identity(Z)
+        with pytest.raises(InvalidSequenceError, match="exactness position"):
+            Sequence((Z, Z, Z), (f, f), exact_at=(pos,))
+
     def test_map_endpoints_must_match_terms(self):
         with pytest.raises(InvalidSequenceError):
             Sequence((Z, cyclic(2)), (identity(Z),))
@@ -671,6 +677,66 @@ class TestSubgroupKeys:
     @example(g=GroupHom.zero(cyclic(4), TRIV))
     def test_kernel_key_matches_snf_route(self, g):
         assert kernel_key(g) == exactness_oracle.kernel_key(g)
+
+    def test_one_hnf_gives_both_keys(self):
+        # every map between these groups with entries in [-2, 2]: the rows
+        # of the kernel key's HNF with a pivot in the target block, cut to
+        # it, are the image-only HNF, and its other rows the SNF route's
+        # kernel key
+        groups = (TRIV, Z, Z2, cyclic(2), cyclic(4),
+                  FGAbelianGroup.from_invariants(0, (2, 4)),
+                  FGAbelianGroup.from_invariants(1, (2,)))
+        maps = 0
+        for a, b in itertools.product(groups, repeat=2):
+            matrices = set()
+            for flat in itertools.product(range(-2, 3),
+                                          repeat=a.n_gens * b.n_gens):
+                rows = tuple(flat[i * a.n_gens:(i + 1) * a.n_gens]
+                             for i in range(b.n_gens))
+                try:
+                    matrices.add(GroupHom(a, b, rows).matrix)
+                except IllDefinedHomError:
+                    pass
+            for m in matrices:
+                g = GroupHom(a, b, m)
+                img, ker = cliffk.abgroup._kernel_key(m, a.gen_orders,
+                                                      b.gen_orders)
+                # a fresh map has no kernel key yet: its own image-only HNF
+                assert img == image_key(GroupHom(a, b, m)), g
+                assert ker == exactness_oracle.kernel_key(g), g
+                assert (kernel_key(g), image_key(g)) == (ker, img), g
+            maps += len(matrices)
+        assert maps == 1075
+
+    def test_gapped_unsorted_checks_match_oracle(self, monkeypatch):
+        # chains checked at a shuffled subset of their interior terms, as
+        # the CLI loop checks them: each map touched gets one HNF
+        groups = CORPUS + (FGAbelianGroup.from_invariants(0, (2, 4)),)
+        rng = random.Random(2401)
+        hnfs = []
+        hnf = cliffk.abgroup._hnf
+        monkeypatch.setattr(cliffk.abgroup, "_hnf",
+                            lambda *a: hnfs.append(1) or hnf(*a))
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            terms = [rng.choice(groups) for _ in range(rng.randint(6, 9))]
+            maps = [GroupHom.zero(a, b) if rng.random() < 0.3
+                    else random_hom(rng, a, b)
+                    for a, b in zip(terms, terms[1:])]
+            interior = range(1, len(terms) - 1)
+            at = rng.sample(interior, rng.randint(1, len(interior)))
+            seq = Sequence(tuple(terms), tuple(maps), exact_at=tuple(at))
+            hnfs.clear()
+            got = [exactness_at(seq, k) for k in at]
+            assert len(hnfs) == len({m for k in at for m in (k - 1, k)})
+            for k, (ok, img, ker) in zip(at, got):
+                f, g = maps[k - 1], maps[k]
+                want = exactness_oracle.check_exact(seq, k)
+                assert (ok, img, ker) == (
+                    want, cokernel(f).order(),
+                    exactness_oracle.image(g).order()), (seq, k)
+                seen[want] += 1
+        assert seen[True] > 200 and seen[False] > 200
 
     def test_indices_match_cokernel_and_image(self):
         # every candidate pair a -> b -> c at bound 1, free parts included

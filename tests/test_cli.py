@@ -200,17 +200,27 @@ class TestSeqCheck:
         assert [c["at"] for c in data["checks"]] == ["KO0", "KOm1"]
         assert all(c["exact"] for c in data["checks"])
 
-    def test_one_pair_of_keys_per_position(self, capsys, monkeypatch):
-        # the verdict and both indices come from the same two keys
+    @pytest.mark.parametrize("text, hnfs", [
+        ((SEQUENCES / "bott_degree0.seq").read_text(), 3),
+        # 20 terms, 19 maps, checked at all 18 interior terms
+        ("".join(f"term T{i} = Z\n" for i in range(20))
+         + "".join(f"map m{i} : T{i} -> T{i + 1} = [[{i % 2}]]\n"
+                   for i in range(19)), 19),
+        ((SEQUENCES / "five_term.seq").read_text(), 667),
+    ], ids=["bott_degree0", "chain20", "five_term"])
+    def test_one_hnf_per_map(self, capsys, monkeypatch, tmp_path, text,
+                             hnfs):
+        # a map checked on both sides gets its image and kernel keys off one
+        # HNF; the first map and the solver's map into B need image keys only
         calls = []
-        for name in ("image_key", "kernel_key"):
-            key = getattr(abgroup, name)
-            monkeypatch.setattr(abgroup, name,
-                                lambda f, key=key, name=name:
-                                calls.append(name) or key(f))
-        code, _out, _err = run(capsys, "seq", "sequences/bott_degree0.seq")
+        hnf = abgroup._hnf
+        monkeypatch.setattr(abgroup, "_hnf",
+                            lambda *a: calls.append(1) or hnf(*a))
+        path = tmp_path / "chain.seq"
+        path.write_text(text)
+        code, _out, _err = run(capsys, "seq", str(path))
         assert code == 0
-        assert sorted(calls) == ["image_key"] * 2 + ["kernel_key"] * 2
+        assert len(calls) == hnfs
 
 
 class TestSeqSolve:
@@ -429,6 +439,22 @@ class TestSizeBound:
         assert time.perf_counter() - start < 1
         assert code == 0
         assert out.startswith("exact at B\n")
+
+    def test_wide_map_keeps_the_image_only_form(self, capsys, tmp_path):
+        # f's kernel key is never needed, so im f keeps its HNF of 2000
+        # generators in one coordinate; the HNF that gives both keys of f
+        # would be refused
+        path = tmp_path / "wide_chain.seq"
+        path.write_text("term A = Z^2000\nterm B = Z\nterm C = Z\n"
+                        "term D = 0\nmap f : A -> B = [[0]]\n"
+                        "map g : B -> C = [[1]]\nmap h : C -> D = [[0]]\n"
+                        "check exact at B, C\n")
+        start = time.perf_counter()
+        code, out, _err = run(capsys, "seq", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out == ("exact at B\nexact at C\n"
+                       "exact at all checked positions\n")
 
     def test_wide_middle_group_refused(self, capsys, tmp_path):
         # the keys of a middle group with 2000 generators are HNFs in 2000
