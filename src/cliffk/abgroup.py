@@ -13,12 +13,12 @@ keys are, so exactness is key equality, and the solver buckets candidate
 maps by key instead of testing pairs.  The solver's candidates stay integer
 matrices: they are keyed from the matrix and the groups' gen_orders, their
 well-definedness is checked once per matrix cell, and a GroupHom is built
-only for a map that a solution returns.  A kernel key is read off one HNF,
-and a subgroup's index is the product of its key's pivots (exactness_at).
-Isomorphism classes (kernel, image) are read off the keys as well: the key
-rows are a basis of H + col(R), so H is presented by the coordinates of
-the relation vectors in that basis.  Smith normal form is used only to
-turn a presentation into invariant factors (from_presentation, cokernel).
+only for a map that a solution returns.  One HNF gives a map's kernel and
+image keys, so a check builds one HNF per map (exactness_at).  Isomorphism
+classes (kernel, image) are read off the keys as well: the key rows are a
+basis of H + col(R), so H is presented by the coordinates of the relation
+vectors in that basis.  Smith normal form is used only to turn a
+presentation into invariant factors (from_presentation, cokernel).
 
 Both normal forms are implemented here, on lists of Python ints
 (Cohen, A Course in Computational Algebraic Number Theory, 2.4):
@@ -510,8 +510,8 @@ def kernel_key(f: GroupHom) -> tuple:
     are built.
     """
     if not f._keys:
-        vars(f)["_keys"] = _kernel_key(f.matrix, f.source.gen_orders,
-                                       f.target.gen_orders)
+        object.__setattr__(f, "_keys", _kernel_key(
+            f.matrix, f.source.gen_orders, f.target.gen_orders))
     return f._keys[1]
 
 
@@ -641,9 +641,9 @@ def exactness_at(seq: Sequence, at: int) -> tuple[bool, int | None,
     diagonal when the key has full rank.  Image equal to kernel already
     forces the composite to be zero, so no composition is formed.  The maps
     around ``at`` must be concrete and meet at the middle term.  Each map
-    keeps its keys, and f gets both off one HNF when at - 1 is checked too
-    (marked, or interior when nothing is marked); else its image key gets
-    its own smaller HNF.
+    keeps the keys its kernel key's HNF gives, and f gets that HNF when
+    at - 1 is marked in seq.exact_at too; else, unless f holds its keys
+    already, its image key gets its own smaller HNF.
 
     >>> Z = FGAbelianGroup.free(1)
     >>> Z2 = FGAbelianGroup.from_invariants(0, (2,))
@@ -659,7 +659,7 @@ def exactness_at(seq: Sequence, at: int) -> tuple[bool, int | None,
         raise InvalidSequenceError("exactness check needs concrete maps")
     if f.target != g.source:
         raise IllDefinedHomError("composition endpoint mismatch")
-    if at - 1 in (seq.exact_at or range(1, at)):
+    if at - 1 in seq.exact_at:
         kernel_key(f)  # needed at at - 1 too; one HNF gives both keys of f
     img, ker = image_key(f), kernel_key(g)
     return img == ker, *[prod(row[i] for i, row in enumerate(key))

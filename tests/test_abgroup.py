@@ -31,8 +31,9 @@ from cliffk.abgroup import (
     smith_normal_form,
     solve_exact,
 )
-from cliffk.errors import (CliffkError, IllDefinedHomError, InvalidGroupError,
-                           InvalidSequenceError, SearchSpaceError)
+from cliffk.errors import (BoundExceededError, CliffkError, IllDefinedHomError,
+                           InvalidGroupError, InvalidSequenceError,
+                           SearchSpaceError)
 from cliffk.seqfile import parse_sequence_file
 from exactness_oracle import apply, elements, identity, is_zero, reduce
 from solver_oracle import _hom_count
@@ -737,6 +738,18 @@ class TestSubgroupKeys:
                     exactness_oracle.image(g).order()), (seq, k)
                 seen[want] += 1
         assert seen[True] > 200 and seen[False] > 200
+
+    def test_unmarked_check_keeps_the_image_only_form(self):
+        # nothing is marked, so a check at 2 alone gives the wide map f only
+        # its image-only HNF; the HNF with both its keys would be refused
+        wide = FGAbelianGroup.free(800)
+        f = GroupHom(wide, Z, ((1,) + (0,) * 799,))
+        seq = Sequence((TRIV, wide, Z, Z, TRIV),
+                       (GroupHom.zero(TRIV, wide), f,
+                        GroupHom.zero(Z, Z), GroupHom.zero(Z, TRIV)))
+        assert exactness_at(seq, 2) == (True, 1, 1)
+        with pytest.raises(BoundExceededError):
+            kernel_key(f)
 
     def test_indices_match_cokernel_and_image(self):
         # every candidate pair a -> b -> c at bound 1, free parts included
