@@ -45,7 +45,10 @@ ARGVS = (
                                   "sequences/five_term.seq",
                                   "tests/golden/not_exact.seq",
                                   "tests/golden/unknown_term.seq",
-                                  "tests/golden/gapped_checks.seq")]
+                                  "tests/golden/gapped_checks.seq",
+                                  "tests/golden/bad_literal.seq",
+                                  "tests/golden/bad_shape.seq",
+                                  "tests/golden/repeated_candidate.seq")]
     # refused command lines
     + [["classify", "-1", "0"], ["rpn", "0"], ["verify", "--suite", "nope"]]
 )
