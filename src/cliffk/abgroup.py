@@ -574,10 +574,16 @@ class UnknownGroup:
         if not self.candidates:
             raise InvalidSequenceError(
                 "unknown group needs at least one candidate")
+        seen = set()
         for grp in self.candidates:
             if not isinstance(grp, FGAbelianGroup):
                 raise InvalidSequenceError(
                     f"unknown group candidate {grp!r} is not a group")
+            # a repeat would repeat every solution that uses it
+            if grp in seen:
+                raise InvalidSequenceError(
+                    f"unknown group candidate {grp} is listed twice")
+            seen.add(grp)
 
 
 @dataclass(frozen=True)
@@ -818,20 +824,22 @@ def _exact_picks(candidates, orders, exact_at):
             stack.append(iter(range(len(candidates[k + 1]))))
 
 
-def solve_exact(seq: Sequence, bound: int,
-                max_assignments: int = 2_000_000) -> list[Sequence]:
+# solve_exact's ceiling on assignments, read at each call
+MAX_ASSIGNMENTS = 2_000_000
+
+
+def solve_exact(seq: Sequence, bound: int) -> list[Sequence]:
     """All completions of the unknown slots exact at every marked position.
 
     Unknown terms range over their candidate lists; unknown maps range over
     matrices with free-generator image coordinates of absolute value at most
     ``bound`` (torsion coordinates use centered representatives).  The
     assignments, before any pruning, are counted up front and a
-    SearchSpaceError raised if they exceed ``max_assignments``; the count
+    SearchSpaceError raised if they exceed MAX_ASSIGNMENTS; the count
     stops at the first partial sum past the ceiling.  An unknown map whose
     matrix has more than MAX_CELLS entries raises BoundExceededError before
-    any candidate is counted.  A ``bound`` or ``max_assignments`` that is
-    not an int (a bool included), or a negative ``bound``, raises
-    InvalidSequenceError.
+    any candidate is counted.  A ``bound`` that is not an int (a bool
+    included), or is negative, raises InvalidSequenceError.
 
     For each choice of unknown terms, every map's candidates are listed once
     as integer matrices, checked once per matrix cell (_hom_candidates), and
@@ -851,18 +859,16 @@ def solve_exact(seq: Sequence, bound: int,
     >>> [s.maps[0].matrix for s in solve_exact(seq, bound=1)]
     [((-1,),), ((1,),)]
     """
-    for name, value in (("solve bound", bound),
-                        ("assignment ceiling", max_assignments)):
-        if type(value) is not int:
-            raise InvalidSequenceError(f"{name} {value!r} is not an integer")
+    if type(bound) is not int:
+        raise InvalidSequenceError(f"solve bound {bound!r} is not an integer")
     if bound < 0:
         raise InvalidSequenceError(f"solve bound {bound} is negative")
-    total = _search_space(seq, bound, max_assignments)
-    if total > max_assignments:
+    ceiling = MAX_ASSIGNMENTS
+    total = _search_space(seq, bound, ceiling)
+    if total > ceiling:
         raise SearchSpaceError(
             f"solve_exact search space has at least {_decimal(total)} "
-            f"assignments, exceeding the ceiling of "
-            f"{_decimal(max_assignments)}")
+            f"assignments, exceeding the ceiling of {_decimal(ceiling)}")
 
     exact_at = set(seq.exact_at)
     results = []

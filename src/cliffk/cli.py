@@ -369,23 +369,23 @@ def _cmd_seq(args, fmt: str) -> int:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     sf = parse_sequence_file(text)
-    seq = sf.to_sequence()
+    seq, names = sf.sequence, sf.sequence.names
+    unknown_terms = [i for i, t in enumerate(seq.terms)
+                     if isinstance(t, UnknownGroup)]
+    unknown_maps = [i for i, m in enumerate(seq.maps)
+                    if isinstance(m, UnknownMap)]
 
-    if sf.has_unknowns:
+    if unknown_terms or unknown_maps:
         if sf.solve_bound is None:
             print(f"error: {args.file} has unknowns but no 'solve bound' "
                   "directive", file=sys.stderr)
             return 2
         solutions = solve_exact(seq, sf.solve_bound)
-        unknown_terms = [i for i, t in enumerate(sf.terms)
-                         if isinstance(t, UnknownGroup)]
-        unknown_maps = [i for i, m in enumerate(sf.maps)
-                        if isinstance(m, UnknownMap)]
         if fmt == "json":
             print(json.dumps({
                 "bound": sf.solve_bound, "count": len(solutions),
                 "solutions": [{
-                    "terms": {sf.term_names[i]: str(sol.terms[i])
+                    "terms": {names[i]: str(sol.terms[i])
                               for i in unknown_terms},
                     # tuples encode as the same JSON arrays as lists
                     "maps": {sf.map_names[i]: sol.maps[i].matrix
@@ -397,15 +397,15 @@ def _cmd_seq(args, fmt: str) -> int:
             print(f"solve bound = {sf.solve_bound}: "
                   f"{len(solutions)} solution{plural}")
             for k, sol in enumerate(solutions, 1):
-                parts = [f"{sf.term_names[i]} = {sol.terms[i]}"
+                parts = [f"{names[i]} = {sol.terms[i]}"
                          for i in unknown_terms]
                 parts += [f"{sf.map_names[i]} = {_matrix_text(sol.maps[i])}"
                           for i in unknown_maps]
                 print(f"solution {k}: " + ", ".join(parts))
         return 0 if solutions else 1
 
-    positions = seq.exact_at or range(1, len(sf.term_names) - 1)
-    results = [(sf.term_names[i], *exactness_at(seq, i)) for i in positions]
+    positions = seq.exact_at or range(1, len(names) - 1)
+    results = [(names[i], *exactness_at(seq, i)) for i in positions]
     passed = all(ok for _n, ok, _i, _k in results)
     if fmt == "json":
         print(json.dumps({

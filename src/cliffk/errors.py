@@ -54,14 +54,15 @@ class InvalidSequenceError(CliffkError, ValueError):
     """A sequence whose terms, maps, names and exactness positions do not
     fit together, a term that is neither a group nor an unknown group, a
     map that is neither a GroupHom nor an unknown map, an unknown group
-    with no candidates or with a candidate that is not a group, an
-    exactness check that lacks two concrete maps around an interior term,
-    a negative solve bound, or a solve bound or ceiling that is not an int
-    (bool included)."""
+    with no candidates, with a candidate that is not a group or with a
+    candidate listed twice, an exactness check that lacks two concrete maps
+    around an interior term, or a solve bound that is negative or not an
+    int (bool included)."""
 
 
 class SearchSpaceError(CliffkError, ValueError):
-    """An enumeration whose total size exceeds the configured ceiling."""
+    """An enumeration whose total size exceeds its fixed ceiling, such as
+    solve_exact's abgroup.MAX_ASSIGNMENTS."""
 
 
 class SequenceParseError(CliffkError, ValueError):

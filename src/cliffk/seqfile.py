@@ -9,8 +9,9 @@ Grammar (one directive per line, '#' starts a comment, CRLF tolerated):
 
 GROUPEXPR is "0", "Z", "Z^r", "Z/d", or sums of those with "+".  The
 integers r, d and INT are written in the ASCII digits 0-9; other Unicode
-decimal digits, which Python's int() would read, are refused.  Maps are
-declared in order and must connect consecutive terms.  A matrix literal has
+decimal digits, which Python's int() would read, are refused.  An unknown
+term lists each group once, so "Z + Z" and "Z^2" may not both appear.
+Maps are declared in order and must connect consecutive terms.  A matrix literal has
 one row per target generator and one column per source generator; a matrix
 of all zeros is accepted in any shape, which is how maps into or out of the
 trivial group are written (canonically "[[0]]").
@@ -24,7 +25,7 @@ tokens.  In EBNF:
     INT    = [ "-" ] ( "0" { "0" } | NONZERO-DIGIT { DIGIT } )
 
 So "-3" is read, and "+3", "- 3", "03", "0x1", "1_0", a trailing comma and
-parentheses are not.
+parentheses are not.  The parse builds the file's one Sequence directly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from dataclasses import dataclass
 
 from .abgroup import (FGAbelianGroup, GroupHom, Sequence, UNKNOWN_MAP,
                       UnknownGroup, UnknownMap)
-from .errors import IllDefinedHomError, SequenceParseError
+from .errors import (IllDefinedHomError, InvalidSequenceError,
+                     SequenceParseError)
 
 _TERM_RE = re.compile(r"^term\s+([A-Za-z_]\w*)\s*=\s*(.+)$")
 _MAP_RE = re.compile(
@@ -44,10 +46,10 @@ _CHECK_RE = re.compile(r"^check\s+exact\s+at\s+(.+)$")
 _SOLVE_RE = re.compile(r"^solve\s+bound\s*=\s*([0-9]+)$")
 _CYCLIC_RE = re.compile(r"^Z/([0-9]+)$")
 _POWER_RE = re.compile(r"^Z\^([0-9]+)$")
-# one token of a matrix literal, after spaces and tabs: a bracket or comma,
-# an integer, or any other run of characters up to the next delimiter
-_MATRIX_TOKEN_RE = re.compile(
-    r"[ \t]*(?:([][,])|(-?(?:0+|[1-9][0-9]*))(?![^][, \t])|([^][, \t]+))")
+_INT = r"-?(?:0+|[1-9][0-9]*)"
+_ROW = rf"[ \t]*\[[ \t]*{_INT}(?:[ \t]*,[ \t]*{_INT})*[ \t]*\]"
+# a whole matrix literal, spaces and tabs allowed between tokens
+_MATRIX_RE = re.compile(rf"[ \t]*\[{_ROW}(?:[ \t]*,{_ROW})*[ \t]*\][ \t]*")
 
 
 def _parse_int(digits: str, lineno: int) -> int:
@@ -80,52 +82,16 @@ def _parse_group(text: str, lineno: int) -> FGAbelianGroup:
     return FGAbelianGroup.from_invariants(rank, factors)
 
 
-def _matrix_rows(text: str) -> list[list[str]] | None:
-    """The entries of a matrix literal, row by row, as integer texts ("" for
-    an entry that is not an integer); None when its brackets and commas do
-    not follow the grammar."""
-    tokens = iter(_MATRIX_TOKEN_RE.findall(text))
-    rows = []
-    try:
-        if next(tokens)[0] != "[":
-            return None
-        while True:
-            if next(tokens)[0] != "[":
-                return None
-            row = []
-            while True:
-                punct, entry, _other = next(tokens)
-                if punct:
-                    return None
-                row.append(entry)
-                punct = next(tokens)[0]
-                if punct == "]":
-                    break
-                if punct != ",":
-                    return None
-            rows.append(row)
-            punct = next(tokens)[0]
-            if punct == "]":
-                break
-            if punct != ",":
-                return None
-    except StopIteration:
-        return None
-    return None if next(tokens, None) else rows
-
-
 def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
-    rows = _matrix_rows(text)
-    if rows is None:
-        raise SequenceParseError(lineno, f"cannot parse matrix {text!r}")
-    if not all(all(row) for row in rows):
-        raise SequenceParseError(
-            lineno, "matrix must be a non-empty list of non-empty integer rows")
     try:
-        value = [[int(x) for x in row] for row in rows]
-    except ValueError:  # past the interpreter's integer string limit
-        raise SequenceParseError(lineno,
-                                 f"cannot parse matrix {text!r}") from None
+        if not _MATRIX_RE.fullmatch(text):
+            raise ValueError
+        # after a full match every "]" but the last two ends a row
+        value = [[int(x) for x in piece.rpartition("[")[2].split(",")]
+                 for piece in text.split("]")[:-2]]
+    except ValueError:  # off the grammar, or past the integer string limit
+        raise SequenceParseError(
+            lineno, f"cannot parse matrix {text!r} into integer rows") from None
     width = len(value[0])
     if any(len(r) != width for r in value):
         raise SequenceParseError(lineno, "matrix rows have different lengths")
@@ -136,27 +102,14 @@ def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
 class SequenceFile:
     """Parsed form of a sequence description.
 
-    check_at holds term names in term order; solve_bound is None when the
-    file carries no solver directive.
+    ``sequence`` carries the terms, their names, the maps and the checked
+    terms as its sorted exact_at; map_names follow the maps; solve_bound is
+    None when the file carries no solver directive.
     """
 
-    term_names: tuple[str, ...]
-    terms: tuple
+    sequence: Sequence
     map_names: tuple[str, ...]
-    maps: tuple
-    check_at: tuple[str, ...] = ()
     solve_bound: int | None = None
-
-    @property
-    def has_unknowns(self) -> bool:
-        return any(isinstance(t, UnknownGroup) for t in self.terms) or any(
-            isinstance(m, UnknownMap) for m in self.maps)
-
-    def to_sequence(self) -> Sequence:
-        index = {name: i for i, name in enumerate(self.term_names)}
-        exact_at = tuple(index[name] for name in self.check_at)
-        return Sequence(self.terms, self.maps, names=self.term_names,
-                        exact_at=exact_at)
 
 
 def parse_sequence_file(text: str) -> SequenceFile:
@@ -164,8 +117,8 @@ def parse_sequence_file(text: str) -> SequenceFile:
 
     >>> sf = parse_sequence_file(
     ...     "term A = Z\\nterm B = Z/2\\nmap p : A -> B = [[1]]\\n")
-    >>> str(sf.terms[1])
-    'Z/2'
+    >>> sf.sequence.names, str(sf.sequence.terms[1])
+    (('A', 'B'), 'Z/2')
     """
     term_names: list[str] = []
     terms: list = []
@@ -192,10 +145,10 @@ def parse_sequence_file(text: str) -> SequenceFile:
                         lineno, "unknown term needs a {candidate, ...} list")
                 cands = [_parse_group(part, lineno)
                          for part in body[1:-1].split(",") if part.strip()]
-                if not cands:
-                    raise SequenceParseError(
-                        lineno, "unknown term needs at least one candidate")
-                terms.append(UnknownGroup(tuple(cands)))
+                try:
+                    terms.append(UnknownGroup(tuple(cands)))
+                except InvalidSequenceError as exc:
+                    raise SequenceParseError(lineno, str(exc)) from None
             else:
                 terms.append(_parse_group(rhs, lineno))
             term_index[name] = len(term_names)
@@ -232,13 +185,11 @@ def parse_sequence_file(text: str) -> SequenceFile:
             f"maps, found {len(raw_maps)}")
 
     maps = []
-    map_names = []
     for k, (lineno, name, src, dst, payload) in enumerate(raw_maps):
         if src != term_names[k] or dst != term_names[k + 1]:
             raise SequenceParseError(
                 lineno, f"map {name!r} must connect {term_names[k]!r} -> "
                 f"{term_names[k + 1]!r} in declaration order")
-        map_names.append(name)
         if isinstance(payload, UnknownMap):
             maps.append(payload)
             continue
@@ -250,11 +201,7 @@ def parse_sequence_file(text: str) -> SequenceFile:
         if all(x == 0 for row in payload for x in row):
             maps.append(GroupHom.zero(s_term, d_term))
             continue
-        if len(payload) != d_term.n_gens or len(payload[0]) != s_term.n_gens:
-            raise SequenceParseError(
-                lineno, f"matrix must be {d_term.n_gens} x {s_term.n_gens} "
-                f"for {dst} <- {src}")
-        try:
+        try:  # GroupHom checks the shape and well-definedness
             maps.append(GroupHom(s_term, d_term,
                                  tuple(tuple(r) for r in payload)))
         except IllDefinedHomError as exc:
@@ -269,7 +216,7 @@ def parse_sequence_file(text: str) -> SequenceFile:
             raise SequenceParseError(
                 lineno, f"term {name!r} is not an interior position")
         checked.add(idx)
-    check_at = tuple(term_names[idx] for idx in sorted(checked))
 
-    return SequenceFile(tuple(term_names), tuple(terms), tuple(map_names),
-                        tuple(maps), check_at, solve_bound)
+    sequence = Sequence(tuple(terms), tuple(maps), tuple(term_names),
+                        tuple(sorted(checked)))
+    return SequenceFile(sequence, tuple(m[1] for m in raw_maps), solve_bound)

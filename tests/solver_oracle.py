@@ -12,6 +12,7 @@ membership check of tests/exactness_oracle.py, not the library's key test.
 import itertools
 from math import prod
 
+from cliffk import abgroup
 from cliffk.abgroup import (GroupHom, Sequence, UnknownGroup, UnknownMap,
                             _cell_counts, _hom_candidates)
 from cliffk.errors import IllDefinedHomError, SearchSpaceError
@@ -23,9 +24,10 @@ def _hom_count(src, tgt, bound: int) -> int:
     return prod(_cell_counts(src, tgt, bound))
 
 
-def solve_exact(seq: Sequence, bound: int,
-                max_assignments: int = 2_000_000) -> list[Sequence]:
-    """Same contract as cliffk.abgroup.solve_exact, by product enumeration."""
+def solve_exact(seq: Sequence, bound: int) -> list[Sequence]:
+    """Same contract as cliffk.abgroup.solve_exact, by product enumeration,
+    under the same ceiling, abgroup.MAX_ASSIGNMENTS, read at call time."""
+    ceiling = abgroup.MAX_ASSIGNMENTS
     term_slots = [i for i, t in enumerate(seq.terms)
                   if isinstance(t, UnknownGroup)]
     term_choices = [seq.terms[i].candidates for i in term_slots]
@@ -40,10 +42,10 @@ def solve_exact(seq: Sequence, bound: int,
             if isinstance(m, UnknownMap):
                 subtotal *= _hom_count(terms[i], terms[i + 1], bound)
         total += subtotal
-    if total > max_assignments:
+    if total > ceiling:
         raise SearchSpaceError(
             f"solve_exact search space has {total} assignments, "
-            f"exceeding the ceiling of {max_assignments}")
+            f"exceeding the ceiling of {ceiling}")
 
     results = []
     for combo in itertools.product(*term_choices):

@@ -477,6 +477,16 @@ class TestSequenceValidation:
         with pytest.raises(InvalidSequenceError):
             Sequence((Z, cyclic(2)), (identity(Z),))
 
+    def test_unknown_group_candidates_are_distinct(self):
+        # a repeat would repeat every solution that uses it
+        with pytest.raises(InvalidSequenceError, match="Z is listed twice"):
+            UnknownGroup((Z, cyclic(2), Z))
+        # Z + Z and Z^2 are one group, and so are Z/2 + Z/3 and Z/6
+        with pytest.raises(InvalidSequenceError, match="listed twice"):
+            UnknownGroup((Z2, FGAbelianGroup.from_invariants(2, ())))
+        with pytest.raises(InvalidSequenceError, match="Z/6 is listed twice"):
+            UnknownGroup((cyclic(6), FGAbelianGroup.from_invariants(0, (2, 3))))
+
     def test_bad_input_is_a_cliffk_error(self):
         # the other refusals are checked above; all stay ValueErrors, for
         # callers that catch that
@@ -946,14 +956,16 @@ class TestSolveExact:
         assert len(sols) == 1
         assert sols[0].terms[0] == Z
 
-    def test_search_ceiling(self):
+    def test_search_ceiling(self, monkeypatch):
         seq = Sequence(
             (Z, Z, cyclic(2), TRIV),
             (UNKNOWN_MAP, UNKNOWN_MAP, GroupHom.zero(cyclic(2), TRIV)),
             exact_at=(1, 2),
         )
-        with pytest.raises(SearchSpaceError):
-            solve_exact(seq, bound=2, max_assignments=3)
+        with monkeypatch.context() as patched:
+            patched.setattr(cliffk.abgroup, "MAX_ASSIGNMENTS", 3)
+            with pytest.raises(SearchSpaceError, match="ceiling of 3$"):
+                solve_exact(seq, bound=2)
         big = Sequence((FGAbelianGroup.free(4), FGAbelianGroup.free(4)),
                        (UNKNOWN_MAP,))
         with pytest.raises(SearchSpaceError):
@@ -1009,9 +1021,7 @@ class TestSolveExact:
         assert solve_exact(seq, bound=2) == solve_exact(seq, bound=2)
 
     @pytest.mark.parametrize("kwargs", [
-        {"bound": 1.5}, {"bound": 2.0}, {"bound": True},
-        {"bound": 1, "max_assignments": 1e6},
-        {"bound": 1, "max_assignments": True}], ids=str)
+        {"bound": 1.5}, {"bound": 2.0}, {"bound": True}], ids=str)
     def test_integer_arguments_must_be_ints(self, kwargs):
         seq = Sequence((Z, Z), (UNKNOWN_MAP,))
         with pytest.raises(InvalidSequenceError, match="not an integer"):
@@ -1045,7 +1055,7 @@ class TestSolveExact:
                                       "tests/golden/unknown_term.seq"])
     def test_grouphoms_built_only_for_answer_maps(self, monkeypatch, path):
         sf = parse_sequence_file((ROOT / path).read_text(encoding="utf-8"))
-        seq = sf.to_sequence()
+        seq = sf.sequence
         built = []
         post_init = GroupHom.__post_init__
 
@@ -1093,14 +1103,17 @@ def shared_exactness_memo(monkeypatch):
 
 
 def outcome(solver, seq, bound):
-    """The ordered solution list, or SearchSpaceError when it is refused.
+    """The ordered solution list under DIFF_CEILING, or SearchSpaceError
+    when it is refused.
 
     The messages differ: the solver stops counting past the ceiling.
     """
-    try:
-        return solver(seq, bound, max_assignments=DIFF_CEILING)
-    except SearchSpaceError:
-        return SearchSpaceError
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(cliffk.abgroup, "MAX_ASSIGNMENTS", DIFF_CEILING)
+        try:
+            return solver(seq, bound)
+        except SearchSpaceError:
+            return SearchSpaceError
 
 
 def compare_with_oracle(cases) -> tuple[int, int]:

@@ -3,6 +3,7 @@
 import ast
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from cliffk import seqfile
 from cliffk.abgroup import (
     FGAbelianGroup,
     GroupHom,
+    Sequence,
     UnknownGroup,
     UnknownMap,
     exactness_at,
@@ -38,15 +40,16 @@ check exact at B, C
 
 def render(sf: SequenceFile) -> str:
     """Canonical text of a parsed file; parsing it gives sf back."""
+    seq = sf.sequence
     lines = []
-    for name, term in zip(sf.term_names, sf.terms):
+    for name, term in zip(seq.names, seq.terms):
         if isinstance(term, UnknownGroup):
             inner = ", ".join(str(g) for g in term.candidates)
             lines.append(f"term {name} = unknown{{{inner}}}")
         else:
             lines.append(f"term {name} = {term}")
-    for i, (name, m) in enumerate(zip(sf.map_names, sf.maps)):
-        src, dst = sf.term_names[i], sf.term_names[i + 1]
+    for i, (name, m) in enumerate(zip(sf.map_names, seq.maps)):
+        src, dst = seq.names[i], seq.names[i + 1]
         if isinstance(m, UnknownMap):
             rhs = "unknown"
         elif not m.matrix or not m.matrix[0]:
@@ -54,8 +57,9 @@ def render(sf: SequenceFile) -> str:
         else:
             rhs = repr([list(r) for r in m.matrix])
         lines.append(f"map {name} : {src} -> {dst} = {rhs}")
-    if sf.check_at:
-        lines.append("check exact at " + ", ".join(sf.check_at))
+    if seq.exact_at:
+        lines.append("check exact at "
+                     + ", ".join(seq.names[i] for i in seq.exact_at))
     if sf.solve_bound is not None:
         lines.append(f"solve bound = {sf.solve_bound}")
     return "\n".join(lines) + "\n"
@@ -64,24 +68,26 @@ def render(sf: SequenceFile) -> str:
 class TestParsing:
     def test_basic_file(self):
         sf = parse_sequence_file(BASIC)
-        assert sf.term_names == ("A", "B", "C", "D")
-        assert sf.terms == (
+        seq = sf.sequence
+        assert seq.names == ("A", "B", "C", "D")
+        assert seq.terms == (
             FGAbelianGroup.free(1), FGAbelianGroup.free(1),
             FGAbelianGroup.from_invariants(0, (2,)), FGAbelianGroup.trivial())
         assert sf.map_names == ("f", "g", "h")
-        assert sf.maps[0].matrix == ((2,),)
-        assert sf.check_at == ("B", "C")
+        assert seq.maps[0].matrix == ((2,),)
+        assert seq.exact_at == (1, 2)
         assert sf.solve_bound is None
-        assert not sf.has_unknowns
+        assert not any(isinstance(t, UnknownGroup) for t in seq.terms)
+        assert not any(isinstance(m, UnknownMap) for m in seq.maps)
 
     def test_group_expressions(self):
         text = ("term A = Z^2 + Z/2 + Z/4\n"
                 "term B = Z/3 + Z/2\n"
                 "map f : A -> B = [[0]]\n")
         sf = parse_sequence_file(text)
-        assert sf.terms[0] == FGAbelianGroup.from_invariants(2, (2, 4))
+        assert sf.sequence.terms[0] == FGAbelianGroup.from_invariants(2, (2, 4))
         # non-chain factor lists canonicalize on the way in
-        assert sf.terms[1] == FGAbelianGroup.from_invariants(0, (6,))
+        assert sf.sequence.terms[1] == FGAbelianGroup.from_invariants(0, (6,))
 
     def test_comments_blank_lines_and_crlf(self):
         text = ("# leading comment\r\n"
@@ -90,8 +96,8 @@ class TestParsing:
                 "term B = Z/2\r\n"
                 "map f : A -> B = [[1]]  # the surjection\r\n")
         sf = parse_sequence_file(text)
-        assert sf.term_names == ("A", "B")
-        assert sf.maps[0].matrix == ((1,),)
+        assert sf.sequence.names == ("A", "B")
+        assert sf.sequence.maps[0].matrix == ((1,),)
 
     def test_unknown_map_and_term(self):
         text = ("term A = Z\n"
@@ -102,10 +108,10 @@ class TestParsing:
                 "check exact at B\n"
                 "solve bound = 2\n")
         sf = parse_sequence_file(text)
-        assert sf.has_unknowns
-        assert isinstance(sf.terms[1], UnknownGroup)
-        assert [str(g) for g in sf.terms[1].candidates] == ["0", "Z", "Z/2"]
-        assert isinstance(sf.maps[0], UnknownMap)
+        seq = sf.sequence
+        assert isinstance(seq.terms[1], UnknownGroup)
+        assert [str(g) for g in seq.terms[1].candidates] == ["0", "Z", "Z/2"]
+        assert isinstance(seq.maps[0], UnknownMap)
         assert sf.solve_bound == 2
 
     def test_zero_matrix_any_shape(self):
@@ -113,19 +119,35 @@ class TestParsing:
                 "term B = 0\n"
                 "map f : A -> B = [[0, 0]]\n")
         sf = parse_sequence_file(text)
-        assert sf.maps[0] == GroupHom.zero(FGAbelianGroup.free(2),
-                                           FGAbelianGroup.trivial())
+        assert sf.sequence.maps[0] == GroupHom.zero(FGAbelianGroup.free(2),
+                                                    FGAbelianGroup.trivial())
 
     def test_checks_deduplicate_and_sort_by_position(self):
         text = BASIC.replace("check exact at B, C", "check exact at C, B, C")
         sf = parse_sequence_file(text)
-        assert sf.check_at == ("B", "C")
+        assert sf.sequence.exact_at == (1, 2)
 
-    def test_to_sequence_positions(self):
-        seq = parse_sequence_file(BASIC).to_sequence()
+    def test_sequence_positions(self):
+        seq = parse_sequence_file(BASIC).sequence
         assert seq.exact_at == (1, 2)
         assert exactness_at(seq, 1)[0]
         assert exactness_at(seq, 2)[0]
+
+    @pytest.mark.parametrize("path", ["tests/golden/gapped_checks.seq",
+                                      "sequences/five_term.seq",
+                                      "tests/golden/unknown_term.seq"])
+    def test_one_sequence_and_one_hom_per_map(self, monkeypatch, path):
+        built = {Sequence: [], GroupHom: []}
+        for cls in built:
+            def counted(obj, post_init=cls.__post_init__, cls=cls):
+                built[cls].append(obj)
+                post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        text = (SHIPPED.parent.parent / path).read_text(encoding="utf-8")
+        seq = parse_sequence_file(text).sequence
+        assert built[Sequence] == [seq] and built[Sequence][0] is seq
+        concrete = [m for m in seq.maps if isinstance(m, GroupHom)]
+        assert [id(m) for m in built[GroupHom]] == [id(m) for m in concrete]
 
 
 class TestParseErrors:
@@ -164,6 +186,8 @@ class TestParseErrors:
         ("term A = Z\nterm B = Z\n", 2, "found 0"),
         ("term A = unknown{}\nterm B = Z\nmap f : A -> B = unknown\n", 1,
          "at least one candidate"),
+        ("term A = Z\nterm B = unknown{Z, Z^2, Z + Z}\n"
+         "map f : A -> B = unknown\n", 2, "candidate Z^2 is listed twice"),
     ])
     def test_line_numbers_and_messages(self, text, line, fragment):
         with pytest.raises(SequenceParseError) as exc:
@@ -257,9 +281,6 @@ class TestMatrixReader:
     def test_short_strings_accepted_only_where_python_agrees(self):
         accepted = 0
         for text in _short_strings():
-            # _parse_matrix refuses whatever _matrix_rows cannot split
-            if seqfile._matrix_rows(text) is None:
-                continue
             value = _read(text)
             if value is None:
                 continue
@@ -277,6 +298,19 @@ class TestMatrixReader:
         with pytest.raises(SequenceParseError) as exc:
             parse_sequence_file(text)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("rhs", [
+        "[[" + ",".join(["1"] * 200_000) + "]",
+        "[[" + "0" * (300_000 - 5) + "x]]",
+    ], ids=["unclosed 200000 entries", "300000 characters"])
+    def test_long_malformed_literal_refused_quickly(self, rhs):
+        text = f"term A = Z\nterm B = Z\nmap f : A -> B = {rhs}\n"
+        start = time.perf_counter()
+        with pytest.raises(SequenceParseError) as exc:
+            parse_sequence_file(text)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.line == 3
+        assert "cannot parse matrix" in exc.value.message
 
     def test_blanks_and_signs(self):
         assert seqfile._parse_matrix("\t[ [-0 ,\t1] ,[00, -12] ] ", 1) == \
@@ -327,20 +361,21 @@ class TestRendering:
 class TestShippedFile:
     def test_parses_and_is_exact(self):
         sf = parse_sequence_file(SHIPPED.read_text())
-        assert sf.term_names == ("KU0", "KO0", "KOm1", "KUm1")
-        assert sf.check_at == ("KO0", "KOm1")
-        assert not sf.has_unknowns
-        seq = sf.to_sequence()
+        seq = sf.sequence
+        assert seq.names == ("KU0", "KO0", "KOm1", "KUm1")
+        assert seq.exact_at == (1, 2)
+        assert not any(isinstance(t, UnknownGroup) for t in seq.terms)
+        assert not any(isinstance(m, UnknownMap) for m in seq.maps)
         assert all(exactness_at(seq, pos)[0] for pos in seq.exact_at)
 
     def test_matches_solver_output(self):
         # the shipped assignment is one of the two the solver finds when the
         # maps are left unknown
-        sf = parse_sequence_file(SHIPPED.read_text())
-        unknown = SequenceFile(sf.term_names, sf.terms, sf.map_names,
-                               (UnknownMap(), UnknownMap(), UnknownMap()),
-                               sf.check_at, 2)
-        sols = solve_exact(unknown.to_sequence(), bound=2)
-        shipped_matrices = tuple(m.matrix for m in sf.maps)
+        seq = parse_sequence_file(SHIPPED.read_text()).sequence
+        unknown = Sequence(seq.terms,
+                           (UnknownMap(), UnknownMap(), UnknownMap()),
+                           seq.names, seq.exact_at)
+        sols = solve_exact(unknown, bound=2)
+        shipped_matrices = tuple(m.matrix for m in seq.maps)
         assert shipped_matrices in [tuple(m.matrix for m in s.maps)
                                     for s in sols]

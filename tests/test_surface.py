@@ -57,8 +57,7 @@ MEMBERS = {
     "ScalarField": ["COMPLEX", "REAL"],
     "SearchSpaceError": [],
     "Sequence": ["exact_at", "maps", "names", "terms"],
-    "SequenceFile": ["check_at", "has_unknowns", "map_names", "maps",
-                     "solve_bound", "term_names", "terms", "to_sequence"],
+    "SequenceFile": ["map_names", "sequence", "solve_bound"],
     "SequenceParseError": [],
     "Signature": ["contains", "dim", "n", "p", "q"],
     "ThomStabilityReport": ["derivation", "n", "passed", "period_checks",
