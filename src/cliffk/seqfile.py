@@ -11,10 +11,10 @@ GROUPEXPR is "0", "Z", "Z^r", "Z/d", or sums of those with "+".  The
 integers r, d and INT are written in the ASCII digits 0-9; other Unicode
 decimal digits, which Python's int() would read, are refused.  An unknown
 term lists each group once, so "Z + Z" and "Z^2" may not both appear.
-Maps are declared in order and must connect consecutive terms.  A matrix literal has
-one row per target generator and one column per source generator; a matrix
-of all zeros is accepted in any shape, which is how maps into or out of the
-trivial group are written (canonically "[[0]]").
+Maps are declared in order and must connect consecutive terms.  A matrix
+literal has one row per target generator and one column per source
+generator; a matrix of all zeros is accepted in any shape, which is how maps
+into or out of the trivial group are written (canonically "[[0]]").
 
 A matrix literal is a non-empty list of non-empty lists of decimal
 integers, each with an optional "-", and spaces or tabs may stand between
@@ -90,8 +90,8 @@ def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
         value = [[int(x) for x in piece.rpartition("[")[2].split(",")]
                  for piece in text.split("]")[:-2]]
     except ValueError:  # off the grammar, or past the integer string limit
-        raise SequenceParseError(
-            lineno, f"cannot parse matrix {text!r} into integer rows") from None
+        raise SequenceParseError(lineno, f"cannot parse matrix {text!r} "
+                                 "into integer rows") from None
     width = len(value[0])
     if any(len(r) != width for r in value):
         raise SequenceParseError(lineno, "matrix rows have different lengths")

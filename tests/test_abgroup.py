@@ -485,7 +485,8 @@ class TestSequenceValidation:
         with pytest.raises(InvalidSequenceError, match="listed twice"):
             UnknownGroup((Z2, FGAbelianGroup.from_invariants(2, ())))
         with pytest.raises(InvalidSequenceError, match="Z/6 is listed twice"):
-            UnknownGroup((cyclic(6), FGAbelianGroup.from_invariants(0, (2, 3))))
+            UnknownGroup((cyclic(6),
+                          FGAbelianGroup.from_invariants(0, (2, 3))))
 
     def test_bad_input_is_a_cliffk_error(self):
         # the other refusals are checked above; all stay ValueErrors, for
