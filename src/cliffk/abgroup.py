@@ -14,11 +14,11 @@ maps by key instead of testing pairs.  The solver's candidates stay integer
 matrices: they are keyed from the matrix and the groups' gen_orders, their
 well-definedness is checked once per matrix cell, and a GroupHom is built
 only for a map that a solution returns.  One HNF gives a map's kernel and
-image keys, so a check builds one HNF per map (exactness_at).  Isomorphism
-classes (kernel, image) are read off the keys as well: the key rows are a
-basis of H + col(R), so H is presented by the coordinates of the relation
-vectors in that basis.  Smith normal form is used only to turn a
-presentation into invariant factors (from_presentation, cokernel).
+image keys, so a check builds one HNF per map (exactness_at).  Kernel,
+image and cokernel are subquotients U/L of key lattices (_subquotient),
+presented by the coordinates of L's vectors in the basis of U's key rows:
+the kernel key over the source relations, the image key over the target
+relations, Z^n over the image key.  SNF serves only from_presentation.
 
 Both normal forms are implemented here, on lists of Python ints
 (Cohen, A Course in Computational Algebraic Number Theory, 2.4):
@@ -368,17 +368,6 @@ class GroupHom:
         return GroupHom(other.source, self.target, prod_mat)
 
 
-def cokernel(f: GroupHom) -> FGAbelianGroup:
-    """Target modulo the image, in canonical form.
-
-    >>> Z = FGAbelianGroup.free(1)
-    >>> str(cokernel(GroupHom(Z, Z, ((2,),))))
-    'Z/2'
-    """
-    rel = [[*t, *r] for t, r in zip(f.target.relation_matrix(), f.matrix)]
-    return FGAbelianGroup.from_presentation(f.target.n_gens, rel)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -515,53 +504,55 @@ def kernel_key(f: GroupHom) -> tuple:
     return f._keys[1]
 
 
-def _key_group(key: tuple, moduli) -> FGAbelianGroup:
-    """Isomorphism class of the subgroup H of Z^n / (moduli[j] * e_j) whose
-    key is ``key``.
+def _subquotient(upper, lower) -> FGAbelianGroup:
+    """Isomorphism class of U/L: ``upper`` holds the HNF rows of U, a basis
+    of U in echelon order, and ``lower`` vectors that span L inside U.
 
-    The key rows are a basis of the lattice H + R, R spanned by the
-    relation vectors d_j * e_j, which lie in it.  So H = (H + R) / R is
-    Z^rows modulo the coordinates of each d_j * e_j in that basis, read off
-    by walking the pivots in echelon order.  Each division there is exact:
-    a remainder left at a pivot would stay, since later rows vanish there,
-    and is raised as a broken key.
+    Each vector of L is written in that basis by walking the pivots in
+    echelon order, so U/L is Z^rows modulo those coordinate columns.  Each
+    division there is exact: a remainder left at a pivot would stay, since
+    later rows vanish there, and is raised as a vector outside U.
     """
-    pivots = [next(k for k, x in enumerate(row) if x) for row in key]
-    cols = []
-    for j, d in enumerate(moduli):
-        if not d:
-            continue
-        v = [0] * len(moduli)
-        v[j] = d
-        col = []
-        for p, row in zip(pivots, key):
+    pivots = [next(k for k, x in enumerate(row) if x) for row in upper]
+    rel = [[] for _ in pivots]  # one relation column per vector of L
+    for vec in lower:
+        v = list(vec)
+        for p, row, coords in zip(pivots, upper, rel):
             c = v[p] // row[p]
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-            col.append(c)
+            v = [x - c * y for x, y in zip(v, row)]
+            coords.append(c)
         if any(v):
             raise AssertionError(
-                f"relation vector {d} * e_{j} is not in the lattice of the "
-                f"key {key}")
-        cols.append(col)
-    return FGAbelianGroup.from_presentation(
-        len(key), [[col[i] for col in cols] for i in range(len(key))])
+                f"vector {vec} is not in the lattice of the key {upper}")
+    return FGAbelianGroup.from_presentation(len(pivots), rel)
+
+
+def cokernel(f: GroupHom) -> FGAbelianGroup:
+    """Target modulo the image: Z^n over the image key.
+
+    >>> Z = FGAbelianGroup.free(1)
+    >>> str(cokernel(GroupHom(Z, Z, ((2,),))))
+    'Z/2'
+    """
+    key, n = image_key(f), f.target.n_gens  # its size check bounds n first
+    return _subquotient([[int(i == j) for j in range(n)] for i in range(n)],
+                        key)
 
 
 def kernel(f: GroupHom) -> FGAbelianGroup:
-    """Isomorphism class of the kernel, read off its key.
+    """Isomorphism class of the kernel: its key over the source relations.
 
     >>> Z = FGAbelianGroup.free(1)
     >>> Z2 = FGAbelianGroup.from_invariants(0, (2,))
     >>> str(kernel(GroupHom(Z, Z2, ((1,),))))
     'Z'
     """
-    return _key_group(kernel_key(f), f.source.gen_orders)
+    return _subquotient(kernel_key(f), zip(*f.source.relation_matrix()))
 
 
 def image(f: GroupHom) -> FGAbelianGroup:
-    """Isomorphism class of the image, read off its key."""
-    return _key_group(image_key(f), f.target.gen_orders)
+    """Isomorphism class of the image: its key over the target relations."""
+    return _subquotient(image_key(f), zip(*f.target.relation_matrix()))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ algebra restricts to m copies of each simple module of the small one.  The
 vector of ones is primitive, so the cokernel of m J is Z^(f_small - 1) +
 Z/m and its kernel is Z^(f_big - 1).  relative_k reads both off the
 matrix; no Smith or Hermite normal form and no GroupHom is built on the
-K-group path.  The SNF route, cokernel and kernel of forgetful_k_map, is
-the tier-1 oracle for that lemma.
+K-group path.  The tier-1 oracle for that lemma is cokernel and kernel of
+forgetful_k_map, each read off HNF keys as one subquotient (abgroup).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Reference kernels, images and exactness by the SNF kernel-lattice route.
+"""Reference kernels, images, cokernels and exactness by SNF routes.
 
 A subgroup given by generator columns S inside Z^n / col(R) is presented
 by the relations {c : S c in col(R)}, read off the SNF kernel lattice of
@@ -6,6 +6,10 @@ by the relations {c : S c in col(R)}, read off the SNF kernel lattice of
 isomorphism classes before they were read off the HNF keys, and it shares
 no key code with the library: ``kernel`` and ``image`` here are the
 oracles of the library's.
+
+``cokernel`` is the body ``cliffk.abgroup.cokernel`` had before it became
+the subquotient of Z^n over the image key: the target presented by its
+relations and the map's columns, [R_t | F], read off by one SNF.
 
 ``check_exact`` is the test ``cliffk.abgroup`` had before exactness became
 equality of canonical subgroup keys: the composite must vanish, and every
@@ -127,6 +131,12 @@ def kernel(f) -> FGAbelianGroup:
 def image(f) -> FGAbelianGroup:
     """Isomorphism class of im f, by the SNF kernel lattice."""
     return _subgroup_iso_class(f.target, _columns(f.matrix))
+
+
+def cokernel(f) -> FGAbelianGroup:
+    """Isomorphism class of coker f, by the SNF of [R_target | F]."""
+    rel = [[*t, *r] for t, r in zip(f.target.relation_matrix(), f.matrix)]
+    return FGAbelianGroup.from_presentation(f.target.n_gens, rel)
 
 
 def _lattice_member(mat, nrows: int, ncols: int, vec) -> bool:

@@ -21,7 +21,7 @@ from cliffk.abgroup import (
     UnknownGroup,
     _entry_candidates,
     _hom_candidates,
-    _key_group,
+    _subquotient,
     cokernel,
     exactness_at,
     image,
@@ -419,6 +419,7 @@ class TestKernelImageCokernel:
                 ker, img = kernel(f), image(f)
                 assert ker == exactness_oracle.kernel(f), f
                 assert img == exactness_oracle.image(f), f
+                assert cokernel(f) == exactness_oracle.cokernel(f), f
                 seen.update((ker, img))
         # mixed free and torsion classes, not only the trivial and free ones
         assert {FGAbelianGroup(1, (2,)), FGAbelianGroup(2, (4,))} <= seen
@@ -426,10 +427,10 @@ class TestKernelImageCokernel:
     def test_broken_key_is_an_explicit_error(self):
         # 4 * e_0 is not a multiple of the pivot 3: the division is not exact
         with pytest.raises(AssertionError, match="not in the lattice"):
-            _key_group(((3,),), (4,))
+            _subquotient(((3,),), [(4,)])
         # 2 * e_0 leaves (0, -2) off the pivots
         with pytest.raises(AssertionError, match="not in the lattice"):
-            _key_group(((1, 1),), (2, 0))
+            _subquotient(((1, 1),), [(2, 0)])
 
 
 def random_hom(rng: random.Random, src: FGAbelianGroup,
@@ -647,6 +648,26 @@ def unimodular(rng: random.Random, n: int) -> list[list[int]]:
     return mat
 
 
+def small_maps():
+    """Every distinct map between {0, Z, Z^2, Z/2, Z/4, Z/2 + Z/4, Z + Z/2}
+    with entries in [-2, 2], as (source, target, reduced matrix): 1,075."""
+    groups = (TRIV, Z, Z2, cyclic(2), cyclic(4),
+              FGAbelianGroup.from_invariants(0, (2, 4)),
+              FGAbelianGroup.from_invariants(1, (2,)))
+    for a, b in itertools.product(groups, repeat=2):
+        matrices = set()
+        for flat in itertools.product(range(-2, 3),
+                                      repeat=a.n_gens * b.n_gens):
+            rows = tuple(flat[i * a.n_gens:(i + 1) * a.n_gens]
+                         for i in range(b.n_gens))
+            try:
+                matrices.add(GroupHom(a, b, rows).matrix)
+            except IllDefinedHomError:
+                pass
+        for m in sorted(matrices):
+            yield a, b, m
+
+
 def span_key(ambient: FGAbelianGroup, gens) -> tuple:
     """Key of the subgroup of ``ambient`` the vectors ``gens`` span: the
     image key of the map from Z^len(gens) that sends e_i to gens[i]."""
@@ -691,34 +712,33 @@ class TestSubgroupKeys:
         assert kernel_key(g) == exactness_oracle.kernel_key(g)
 
     def test_one_hnf_gives_both_keys(self):
-        # every map between these groups with entries in [-2, 2]: the rows
-        # of the kernel key's HNF with a pivot in the target block, cut to
-        # it, are the image-only HNF, and its other rows the SNF route's
-        # kernel key
-        groups = (TRIV, Z, Z2, cyclic(2), cyclic(4),
-                  FGAbelianGroup.from_invariants(0, (2, 4)),
-                  FGAbelianGroup.from_invariants(1, (2,)))
+        # every small map: the rows of the kernel key's HNF with a pivot in
+        # the target block, cut to it, are the image-only HNF, and its
+        # other rows the SNF route's kernel key
         maps = 0
-        for a, b in itertools.product(groups, repeat=2):
-            matrices = set()
-            for flat in itertools.product(range(-2, 3),
-                                          repeat=a.n_gens * b.n_gens):
-                rows = tuple(flat[i * a.n_gens:(i + 1) * a.n_gens]
-                             for i in range(b.n_gens))
-                try:
-                    matrices.add(GroupHom(a, b, rows).matrix)
-                except IllDefinedHomError:
-                    pass
-            for m in matrices:
-                g = GroupHom(a, b, m)
-                img, ker = cliffk.abgroup._kernel_key(m, a.gen_orders,
-                                                      b.gen_orders)
-                # a fresh map has no kernel key yet: its own image-only HNF
-                assert img == image_key(GroupHom(a, b, m)), g
-                assert ker == exactness_oracle.kernel_key(g), g
-                assert (kernel_key(g), image_key(g)) == (ker, img), g
-            maps += len(matrices)
+        for a, b, m in small_maps():
+            g = GroupHom(a, b, m)
+            img, ker = cliffk.abgroup._kernel_key(m, a.gen_orders,
+                                                  b.gen_orders)
+            # a fresh map has no kernel key yet: its own image-only HNF
+            assert img == image_key(GroupHom(a, b, m)), g
+            assert ker == exactness_oracle.kernel_key(g), g
+            assert (kernel_key(g), image_key(g)) == (ker, img), g
+            maps += 1
         assert maps == 1075
+
+    def test_subquotients_match_snf_oracle_on_small_maps(self):
+        # cokernel, kernel and image are each one subquotient of keys; the
+        # oracle presents them by SNF and shares no key code
+        seen = set()
+        for a, b, m in small_maps():
+            g = GroupHom(a, b, m)
+            got = (cokernel(g), kernel(g), image(g))
+            assert got == (exactness_oracle.cokernel(g),
+                           exactness_oracle.kernel(g),
+                           exactness_oracle.image(g)), g
+            seen.update(got)
+        assert {FGAbelianGroup(1, (2,)), FGAbelianGroup(0, (2, 4))} <= seen
 
     def test_gapped_unsorted_checks_match_oracle(self, monkeypatch):
         # chains checked at a shuffled subset of their interior terms, as

@@ -13,7 +13,8 @@ import cliffk
 import rank_oracle
 from cliffk import abgroup, blades, errors, ktheory, reps, structure
 from cliffk.abgroup import (UNKNOWN_MAP, FGAbelianGroup, GroupHom, Sequence,
-                            kernel_key, smith_normal_form, solve_exact)
+                            cokernel, kernel_key, smith_normal_form,
+                            solve_exact)
 from cliffk.blades import Signature, center_basis
 from cliffk.errors import MAX_CELLS, BoundExceededError
 from cliffk.ktheory import KTheory, point_k, reduced_k_rpn, thom_stability
@@ -116,6 +117,13 @@ SITES = {
     "kernel_key": (abgroup, "Hermite normal form",
                    lambda: kernel_key(GroupHom.zero(power(3, 724), TRIV)),
                    lambda: kernel_key(GroupHom.zero(power(3, 725), TRIV))),
+    # the image key's HNF, (k + n) n entries, checked before the cokernel
+    # builds the n x n identity of Z^n
+    "cokernel": (abgroup, "Hermite normal form",
+                 lambda: cokernel(GroupHom.zero(TRIV,
+                                                FGAbelianGroup.free(1024))),
+                 lambda: cokernel(GroupHom.zero(TRIV,
+                                                FGAbelianGroup.free(1025)))),
     # an unknown map's candidate matrices, checked before they are counted:
     # Z/2 -> Z/3 has the zero map only, so no ceiling stops the search
     "solve_exact": (abgroup, "candidates of unknown map",
