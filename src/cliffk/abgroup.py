@@ -220,6 +220,7 @@ class FGAbelianGroup:
     @classmethod
     def from_presentation(cls, n_gens: int, relations) -> "FGAbelianGroup":
         """Z^n_gens modulo the columns of the relation matrix (n_gens rows)."""
+        _check_rank(n_gens)
         rel = [list(r) for r in relations]
         if len(rel) != n_gens:
             raise InvalidGroupError(
@@ -305,6 +306,12 @@ def _cell_well_defined(d: int, e: int, v: int) -> bool:
     return d * v % e == 0 if e else d * v == 0
 
 
+def _check_endpoints(*ends) -> None:
+    for end in ends:
+        if not isinstance(end, FGAbelianGroup):
+            raise IllDefinedHomError(f"map endpoint {end!r} is not a group")
+
+
 @dataclass(frozen=True)
 class GroupHom:
     """A homomorphism, stored as its matrix on canonical generators.
@@ -321,9 +328,7 @@ class GroupHom:
     _keys = None  # (image key, kernel key) from kernel_key; == ignores it
 
     def __post_init__(self):
-        for end in (self.source, self.target):
-            if not isinstance(end, FGAbelianGroup):
-                raise IllDefinedHomError(f"map endpoint {end!r} is not a group")
+        _check_endpoints(self.source, self.target)
         ns, nt = self.source.n_gens, self.target.n_gens
         mat = [list(row) for row in self.matrix]
         if len(mat) != nt or any(len(row) != ns for row in mat):
@@ -347,6 +352,7 @@ class GroupHom:
 
     @classmethod
     def zero(cls, source: FGAbelianGroup, target: FGAbelianGroup) -> "GroupHom":
+        _check_endpoints(source, target)
         check_size("zero map {} -> {}", source.n_gens * target.n_gens,
                    source, target)
         return cls(source, target,
@@ -585,6 +591,13 @@ class UnknownMap:
 UNKNOWN_MAP = UnknownMap()
 
 
+def _check_position(pos, n_terms: int) -> None:
+    # type(), not isinstance(): True and 1.0 are not positions
+    if type(pos) is not int or not 1 <= pos <= n_terms - 2:
+        raise InvalidSequenceError(
+            f"exactness position {pos!r} is not interior")
+
+
 @dataclass(frozen=True)
 class Sequence:
     """Terms joined by maps, with marked positions where exactness is asked.
@@ -610,10 +623,7 @@ class Sequence:
             if not isinstance(term, (FGAbelianGroup, UnknownGroup)):
                 raise InvalidSequenceError(f"term {term!r} is not a group")
         for pos in self.exact_at:
-            # type(), not isinstance(): True and 1.0 are not positions
-            if type(pos) is not int or not 1 <= pos <= len(self.terms) - 2:
-                raise InvalidSequenceError(
-                    f"exactness position {pos!r} is not interior")
+            _check_position(pos, len(self.terms))
         for i, m in enumerate(self.maps):
             if isinstance(m, UnknownMap):
                 continue
@@ -649,8 +659,7 @@ def exactness_at(seq: Sequence, at: int) -> tuple[bool, int | None,
     >>> exactness_at(seq, 1)
     (True, 2, 2)
     """
-    if not 1 <= at <= len(seq.terms) - 2:
-        raise InvalidSequenceError(f"exactness position {at} is not interior")
+    _check_position(at, len(seq.terms))
     f, g = seq.maps[at - 1], seq.maps[at]
     if not isinstance(f, GroupHom) or not isinstance(g, GroupHom):
         raise InvalidSequenceError("exactness check needs concrete maps")

@@ -190,6 +190,9 @@ class TestFGAbelianGroup:
          InvalidGroupError),
         (lambda: FGAbelianGroup.from_presentation(1, [[True]]),
          InvalidGroupError),
+        # len(rel) != True is false for one relation row
+        (lambda: FGAbelianGroup.from_presentation(True, [[2]]),
+         InvalidGroupError),
         (lambda: GroupHom(Z, Z, ((True,),)), IllDefinedHomError),
         (lambda: UnknownGroup((1,)), InvalidSequenceError),
         (lambda: UnknownGroup((Z, "Z")), InvalidSequenceError),
@@ -200,10 +203,13 @@ class TestFGAbelianGroup:
         (lambda: Sequence((Z, "Z"), (UNKNOWN_MAP,)), InvalidSequenceError),
         (lambda: Sequence((None, Z), (UNKNOWN_MAP,)), InvalidSequenceError),
         (lambda: Sequence((Z, Z), ("f",)), InvalidSequenceError),
+        # the endpoints are checked before the zero matrix's size
+        (lambda: GroupHom.zero(Z, 3), IllDefinedHomError),
     ], ids=["rank", "from_invariants rank", "from_invariants order",
-            "relation entry", "hom entry", "candidate int", "candidate str",
-            "from_invariants str rank", "hom source str", "hom target str",
-            "sequence term str", "sequence term None", "sequence map str"])
+            "relation entry", "presentation generators", "hom entry",
+            "candidate int", "candidate str", "from_invariants str rank",
+            "hom source str", "hom target str", "sequence term str",
+            "sequence term None", "sequence map str", "zero map target int"])
     def test_bool_and_non_group_data_are_refused(self, call, error):
         # isinstance(True, int) holds, so only a type() test refuses a bool
         with pytest.raises(error):
@@ -559,6 +565,11 @@ class TestCheckExact:
             exactness_at(seq, 0)
         with pytest.raises(InvalidSequenceError):
             exactness_at(seq, 2 + 1)
+        # the rule Sequence applies to exact_at: True is not position 1
+        for pos in (True, 1.0, "a"):
+            with pytest.raises(InvalidSequenceError,
+                               match=f"exactness position {pos!r} is not"):
+                exactness_at(seq, pos)
 
     def test_exactness_indices_rejects_end_terms(self):
         # the two end terms of a four-term sequence, and one step beyond
@@ -998,6 +1009,11 @@ class TestSolveExact:
         seq = Sequence((Z, Z), (UNKNOWN_MAP,))
         with pytest.raises(SearchSpaceError, match="2000000000001"):
             solve_exact(seq, bound=10**12)
+        # 2 * 10**5000 + 1 has too many digits to print: the message names
+        # the power of two below it, 2^16610 <= n < 2^16611
+        with pytest.raises(SearchSpaceError,
+                           match=r"at least 2\^16610 assignments"):
+            solve_exact(seq, bound=10**5000)
         # a huge torsion target costs O(candidates), not O(modulus)
         seq = Sequence((Z, cyclic(10**30)), (UNKNOWN_MAP,))
         sols = solve_exact(seq, bound=1)
