@@ -520,13 +520,13 @@ def _subquotient(upper, lower) -> FGAbelianGroup:
     later rows vanish there, and is raised as a vector outside U.
     """
     pivots = [next(k for k, x in enumerate(row) if x) for row in upper]
-    rel = [[] for _ in pivots]  # one relation column per vector of L
+    rel = [[] for _ in pivots]  # row i: coordinate i of each vector of L
     for vec in lower:
         v = list(vec)
         for p, row, coords in zip(pivots, upper, rel):
-            c = v[p] // row[p]
-            v = [x - c * y for x, y in zip(v, row)]
-            coords.append(c)
+            coords.append(c := v[p] // row[p])
+            if c:  # Z^n over a sparse image key skips most rows here
+                v = [x - c * y for x, y in zip(v, row)]
         if any(v):
             raise AssertionError(
                 f"vector {vec} is not in the lattice of the key {upper}")
